@@ -52,6 +52,18 @@ def _parse_partition(text: str) -> Partition:
         raise ValueError(f"bad partition {text!r}: {exc}") from exc
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low, checked before any work."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _display_order(f: SymFunc):
     """Table display order: more parts first, then lexicographically larger."""
     return sorted(f.terms, key=lambda lam: (len(lam), tuple(lam)), reverse=True)
@@ -177,6 +189,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_positivity(args) -> int:
+    if args.basis is not None and args.nmax is None:
+        raise ValueError("--basis needs --nmax")
     precision = max(args.degree * args.decimate, args.nmax or 0)
     seed = seed_by_name(parse_seed_spec(args.seed), precision)
     if args.decimate > 1:
@@ -185,8 +199,6 @@ def cmd_positivity(args) -> int:
         report = toeplitz_minors(seed, args.minor_order, args.degree)
     _emit_json(report.to_json_obj())
     if args.basis is not None:
-        if args.nmax is None:
-            raise ValueError("--basis needs --nmax")
         expansion = expansion_positivity(
             seed, args.nmax, Basis.from_letter(args.basis)
         )
@@ -297,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named identity suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_verify.add_argument("--nmax", type=int, default=None)
+    p_verify.add_argument("--nmax", type=_int_at_least(1), default=None)
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos.add_argument("--seed", required=True)
     p_pos.add_argument("--minor-order", type=int, default=4)
     p_pos.add_argument("--degree", type=int, default=10)
-    p_pos.add_argument("--decimate", type=int, default=1)
+    p_pos.add_argument("--decimate", type=_int_at_least(1), default=1)
     p_pos.add_argument("--basis", choices=["s", "e", "h"], default=None)
     p_pos.add_argument("--nmax", type=int, default=None)
     p_pos.set_defaults(func=cmd_positivity)
@@ -327,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rp-hist", "alt-count", "cyc-alt", "piecewise", "syt", "rho", "uio", "claw-check"],
         required=True,
     )
-    p_oracle.add_argument("--n", type=int, default=1)
+    p_oracle.add_argument("--n", type=_int_at_least(0), default=1)
     p_oracle.add_argument("--partition", default=None, help="comma-separated parts, e.g. 3,1,1")
     p_oracle.add_argument("--outer", default=None)
     p_oracle.add_argument("--inner", default=None)

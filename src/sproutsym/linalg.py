@@ -1,4 +1,4 @@
-"""Exact determinants and inverses for the small dense matrices used here."""
+"""Exact determinants of the small dense matrices used here."""
 
 from fractions import Fraction
 
@@ -52,25 +52,3 @@ def det_int_bareiss(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def invert_fraction(rows):
-    """Inverse of a square matrix over Fractions via Gauss-Jordan."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    if any(len(row) != 2 * n for row in m):
-        raise ValueError("matrix must be square")
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                factor = m[i][k]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-    return [row[n:] for row in m]

@@ -21,7 +21,7 @@ class Partition(tuple):
         parts = tuple(parts)
         prev = None
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"parts must be positive integers: {parts!r}")
             if prev is not None and p > prev:
                 raise ValueError(f"parts must be weakly decreasing: {parts!r}")

@@ -3,13 +3,16 @@
 Conversion strategy: the power-sum basis P is the single pivot.
 
 * p -> m expands products of power sums in the monomial basis directly.
-* m -> p solves the degree-n linear system over exact rationals (the
-  p->m matrix is inverted once per degree and cached).
+* m -> p back-substitutes through the p->m matrix, which is triangular
+  in reverse-lex order with diagonal prod m_i(lam)! (Macdonald I.6),
+  over integer numerators and the common denominator n!; one table per
+  degree, cached.
 * s -> h uses the Jacobi-Trudi determinant det[h_{lam_i - i + j}],
   expanded symbolically over its nonzero structure.
 * e <-> h ride the omega involution.
 * Coefficient extraction into H uses Hall duality ([h_lam] f = <f, m_lam>)
-  and into S uses Schur self-duality ([s_lam] f = <f, s_lam>).
+  and into S uses Schur self-duality paired through Jacobi-Trudi:
+  [s_lam] f = <f, s_lam> = sum_nu [h_nu]s_lam * [m_nu] f.
 
 All transition tables are per-degree, write-once caches; every value in
 them is exact, so round trips are exact equalities, not approximations.
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .linalg import invert_fraction
+from .errors import ConsistencyError
 from .partitions import EMPTY, Partition, conjugate, enumerate_partitions, union, z_of
 from .series import rat_str
 
@@ -142,7 +145,7 @@ def _mul_m_by_p(mvec: dict, r: int) -> dict:
     the coefficient picked up is the multiplicity of the grown value
     in nu.
     """
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, int] = {}
     for mu, c in mvec.items():
         seen: set[int] = set()
         for s in mu:
@@ -153,10 +156,10 @@ def _mul_m_by_p(mvec: dict, r: int) -> dict:
             grown.remove(s)
             nu = Partition(sorted(grown + [s + r], reverse=True))
             mult = sum(1 for v in nu if v == s + r)
-            out[nu] = out.get(nu, Fraction(0)) + c * mult
+            out[nu] = out.get(nu, 0) + c * mult
         nu = union(mu, (r,))
         mult = sum(1 for v in nu if v == r)
-        out[nu] = out.get(nu, Fraction(0)) + c * mult
+        out[nu] = out.get(nu, 0) + c * mult
     return {lam: c for lam, c in out.items() if c != 0}
 
 
@@ -164,24 +167,42 @@ def _mul_m_by_p(mvec: dict, r: int) -> dict:
 def _p_in_m(lam: Partition) -> dict:
     """Expansion of p_lam in the monomial basis (integer coefficients)."""
     if not lam:
-        return {EMPTY: Fraction(1)}
+        return {EMPTY: 1}
     return _mul_m_by_p(_p_in_m(Partition(lam[1:])), lam[0])
 
 
 @cache
 def _m_in_p_table(n: int) -> dict:
-    """m_lam in the power-sum basis for every lam of n, via one matrix inverse."""
-    parts = enumerate_partitions(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    size = len(parts)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for j, lam in enumerate(parts):
-        for mu, c in _p_in_m(lam).items():
-            matrix[index[mu]][j] = c
-    inv = invert_fraction(matrix)
+    """m_lam in the power-sum basis for every lam of n, by back-substitution.
+
+    p_lam = sum_mu L[lam, mu] m_mu with integer L; every mu != lam is a
+    coarsening of lam, so it comes earlier in reverse-lex order, and
+    L[lam, lam] = prod m_i(lam)!.  Rows are integer numerators over n!,
+    which every denominator divides, so each division by the diagonal
+    must be exact.
+    """
+    denom = factorial(n)
+    rows: dict[Partition, dict[Partition, int]] = {}
+    for lam in enumerate_partitions(n):
+        p_lam = _p_in_m(lam)
+        acc = {lam: denom}
+        for mu, c in p_lam.items():
+            if mu != lam:
+                for rho, v in rows[mu].items():
+                    acc[rho] = acc.get(rho, 0) - c * v
+        row: dict[Partition, int] = {}
+        for rho, v in acc.items():
+            q, r = divmod(v, p_lam[lam])
+            if r:
+                raise ConsistencyError(
+                    f"m_{list(lam)} in the p basis is not integral over {n}!"
+                )
+            if q:
+                row[rho] = q
+        rows[lam] = row
     return {
-        parts[j]: {parts[i]: inv[i][j] for i in range(size) if inv[i][j] != 0}
-        for j in range(size)
+        lam: {rho: Fraction(v, denom) for rho, v in sorted(row.items(), reverse=True)}
+        for lam, row in rows.items()
     }
 
 
@@ -312,11 +333,13 @@ def _from_p_terms(pvec: dict, degree: int, target: Basis) -> dict:
             for mu in enumerate_partitions(degree)
             if (coeff := _pair_p(pvec, table[mu])) != 0
         }
-    # Schur: self-dual basis.
+    # Schur: [s_mu] f = <f, s_mu> = sum_nu [h_nu]s_mu * <f, h_nu>, and
+    # <f, h_nu> = [m_nu] f by Hall duality.
+    mvec = _from_p_terms(pvec, degree, Basis.M)
     return {
         mu: coeff
         for mu in enumerate_partitions(degree)
-        if (coeff := _pair_p(pvec, _s_in_p(mu))) != 0
+        if (coeff := sum(c * mvec.get(nu, 0) for nu, c in _s_in_h(mu).items())) != 0
     }
 
 

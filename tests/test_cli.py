@@ -266,3 +266,24 @@ class TestExitCodes:
             capsys, "expand", "--seed", f"file:{path}", "--n", "5", "--basis", "m"
         )
         assert code == 3
+
+
+class TestInputContract:
+    """Bad arguments exit 2 before anything reaches stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "rp", "--nmax", "0"),
+            ("verify", "--suite", "kronecker", "--nmax", "-3"),
+            ("oracle", "--op", "alt-count", "--n", "-5"),
+            ("positivity", "--seed", "geom", "--decimate", "0"),
+            ("positivity", "--seed", "geom", "--decimate", "-1"),
+            ("positivity", "--seed", "secsqrt", "--minor-order", "2", "--degree", "4",
+             "--basis", "h"),
+        ],
+    )
+    def test_rejected_before_output(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""

@@ -59,6 +59,8 @@ class TestPartitionType:
             Partition((3, 0))
         with pytest.raises(ValueError):
             Partition((2, -1))
+        with pytest.raises(ValueError):
+            Partition((True,))
 
     def test_n_and_length(self):
         lam = Partition((5, 3, 1, 1))

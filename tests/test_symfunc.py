@@ -5,7 +5,12 @@ from math import comb, factorial
 
 import pytest
 
+from sproutsym import symfunc
+from sproutsym.errors import ConsistencyError
 from sproutsym.partitions import EMPTY, Partition, enumerate_partitions, z_of
+from sproutsym.seeds import seed_by_name
+from sproutsym.sprout import sprout_m
+from sproutsym.suites import CATALOG_SPECS
 from sproutsym.symfunc import (
     Basis,
     SymFunc,
@@ -100,6 +105,43 @@ class TestConvertBijection:
                     for dst in ALL_BASES:
                         there = convert(element, dst)
                         assert convert(there, src) == element
+
+
+class TestTransitionTables:
+    def test_m_in_p_table_inverts_p_in_m(self):
+        for n in range(13):
+            table = symfunc._m_in_p_table(n)
+            for lam in enumerate_partitions(n):
+                back: dict = {}
+                for rho, c in table[lam].items():
+                    for mu, d in symfunc._p_in_m(rho).items():
+                        back[mu] = back.get(mu, 0) + c * d
+                assert {mu: c for mu, c in back.items() if c != 0} == {lam: 1}
+
+    def test_schur_extraction_matches_schur_pairing(self):
+        for n in range(10):
+            for spec in CATALOG_SPECS:
+                f = sprout_m(seed_by_name(spec, n), n)
+                pvec = symfunc._to_p_terms(f)
+                want = {
+                    mu: c
+                    for mu in enumerate_partitions(n)
+                    if (c := symfunc._pair_p(pvec, symfunc._s_in_p(mu))) != 0
+                }
+                assert convert(f, Basis.S).terms == want
+
+    def test_inexact_back_substitution_raises(self, monkeypatch):
+        real = symfunc._p_in_m
+
+        def tampered(lam):
+            out = dict(real(lam))
+            if lam == Partition((1, 1)):
+                out[lam] = 3  # the true diagonal entry is 2! = 2
+            return out
+
+        monkeypatch.setattr(symfunc, "_p_in_m", tampered)
+        with pytest.raises(ConsistencyError):
+            symfunc._m_in_p_table.__wrapped__(2)
 
 
 class TestDuality:
