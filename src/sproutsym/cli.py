@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pos = sub.add_parser("positivity", help="Toeplitz minor sweep and expansion signs")
     p_pos.add_argument("--seed", required=True)
-    p_pos.add_argument("--minor-order", type=int, default=4)
-    p_pos.add_argument("--degree", type=int, default=10)
+    p_pos.add_argument("--minor-order", type=_int_at_least(1), default=4)
+    p_pos.add_argument("--degree", type=_int_at_least(0), default=10)
     p_pos.add_argument("--decimate", type=_int_at_least(1), default=1)
     p_pos.add_argument("--basis", choices=["s", "e", "h"], default=None)
     p_pos.add_argument("--nmax", type=int, default=None)

@@ -1,33 +1,5 @@
 """Exact determinants of the small dense matrices used here."""
 
-from fractions import Fraction
-
-
-def det_fraction(rows) -> Fraction:
-    """Determinant by Gaussian elimination over Fractions (exact)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return Fraction(1)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k]:
-                factor = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return det
-
 
 def det_int_bareiss(rows) -> int:
     """Fraction-free (Bareiss) determinant of an integer matrix."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import BudgetError
-from .linalg import det_fraction
+from .linalg import det_int_bareiss
 from .partitions import Partition, conjugate
 from .symfunc import Basis, SymFunc, add, convert, omega, zero
 
@@ -241,17 +241,17 @@ def syt_count_det(shape: SkewShape) -> int:
     if ell == 0:
         return 1
     inner = shape.inner_padded()
-    rows = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            arg = shape.outer[i] - inner[j] - (i + 1) + (j + 1)
-            row.append(Fraction(1, factorial(arg)) if arg >= 0 else Fraction(0))
-        rows.append(row)
-    value = det_fraction(rows) * factorial(shape.cells)
-    if value.denominator != 1:
+    args = [
+        [shape.outer[i] - inner[j] - (i + 1) + (j + 1) for j in range(ell)]
+        for i in range(ell)
+    ]
+    # scale [1/arg!] to integers by the largest factorial, then undo exactly
+    top = factorial(max(arg for row in args for arg in row))
+    rows = [[top // factorial(arg) if arg >= 0 else 0 for arg in row] for row in args]
+    value, rest = divmod(det_int_bareiss(rows) * factorial(shape.cells), top**ell)
+    if rest:
         raise ArithmeticError(f"tableau determinant for {shape} is not integral")
-    return value.numerator
+    return value
 
 
 def syt_count_brute(shape: SkewShape) -> int:

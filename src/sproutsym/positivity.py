@@ -8,19 +8,25 @@ skew Schur coefficient of some R_n, so a negative minor certifies a
 Schur-negative expansion and vice versa within the scanned window.
 
 Minors are evaluated fraction-free: the coefficient window is scaled by
-the lcm of its denominators into an integer matrix, each minor runs
-through Bareiss elimination in exact integers, and reported values are
-scaled back down.
+the lcm of its denominators into an integer matrix, minors run through
+Bareiss elimination in exact integers, and reported values are scaled
+back down.  The sweep uses the structure of [a_(j-i)]: a minor with
+rows[k] > cols[k] for some k is zero and is skipped, and a minor does
+not change when rows and cols shift together, so Bareiss runs once per
+shift class.  Each negative class is re-expanded into all its shifts and
+the violations are sorted, so the report lists every negative (rows,
+cols) in the same order as a sweep over all pairs would.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import itemgetter
 
 from .errors import BudgetError, PrecisionError
 from .linalg import det_int_bareiss
-from .partitions import Partition, enumerate_partitions
+from .partitions import enumerate_partitions
 from .series import rat_str
 from .sprout import Seed, decimate_seed, sprout_m
 from .symfunc import Basis, convert
@@ -101,6 +107,28 @@ def _minor_count(max_order: int, max_degree: int) -> int:
     )
 
 
+def _shift_classes(size: int, order: int):
+    """One (rows, cols) per shift class of the possibly nonzero minors.
+
+    The representative of a class has rows[0] = 0.  Its cols are built
+    entry by entry with cols[k] >= rows[k], since any other minor has an
+    all-zero lower-left block, and each entry stops where the later ones
+    still fit below size.
+    """
+    for rest in combinations(range(1, size), order - 1):
+        rows = (0, *rest)
+        partial = [(j,) for j in range(size - order + 1)]
+        for k in range(1, order):
+            low, stop = rows[k], size - order + 1 + k
+            partial = [
+                cols + (j,)
+                for cols in partial
+                for j in range(max(low, cols[-1] + 1), stop)
+            ]
+        for cols in partial:
+            yield rows, cols
+
+
 def toeplitz_minors(
     seed: Seed,
     max_order: int,
@@ -109,11 +137,20 @@ def toeplitz_minors(
 ) -> MinorReport:
     """Evaluate every minor with indices <= max_degree and order <= max_order.
 
-    Exact arithmetic throughout; violations are reported in (order, rows,
-    cols) lexicographic order regardless of evaluation strategy.
+    The matrix [a_(j-i)] is upper triangular, so a minor with
+    rows[k] > cols[k] for some k is zero and is skipped; and it depends
+    only on j - i, so shifting rows and cols together leaves a minor
+    unchanged.  Bareiss therefore runs once per shift class (the
+    representative with rows[0] = 0), and each negative class is
+    re-expanded into all its shifts.  Violations are sorted and reported
+    in (order, rows, cols) lexicographic order.  The budget counts the
+    full index set, skipped minors included, and is checked before any
+    work.  Exact arithmetic throughout.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     if max_degree > seed.precision:
         raise PrecisionError(
             f"degree {max_degree} beyond seed precision {seed.precision}"
@@ -133,12 +170,17 @@ def toeplitz_minors(
     violations = []
     for order in range(1, min(max_order, size) + 1):
         back = scale**order
-        for rows in combinations(range(size), order):
-            for cols in combinations(range(size), order):
-                sub = [[toeplitz[i][j] for j in cols] for i in rows]
-                det = det_int_bareiss(sub)
-                if det < 0:
-                    violations.append((rows, cols, Fraction(det, back)))
+        found = []
+        for rows, cols in _shift_classes(size, order):
+            det = det_int_bareiss([[toeplitz[i][j] for j in cols] for i in rows])
+            if det < 0:
+                value = Fraction(det, back)
+                for s in range(size - cols[-1]):
+                    found.append(
+                        (tuple(i + s for i in rows), tuple(j + s for j in cols), value)
+                    )
+        found.sort(key=itemgetter(0, 1))
+        violations.extend(found)
     return MinorReport(
         max_order=max_order,
         max_degree=max_degree,
@@ -220,18 +262,3 @@ def decimation_check(
         note=note,
     )
 
-
-def straight_shape_minor(seed: Seed, lam) -> Fraction:
-    """The Toeplitz minor whose value is the Schur coefficient <R_n, s_lam>.
-
-    Rows lam_1 - 1 - lam_i + i and columns lam_1 - 1 + j (1-based i, j)
-    reproduce det[a_{lam_i - i + j}].
-    """
-    lam = Partition(lam)
-    ell = len(lam)
-    if ell == 0:
-        return Fraction(1)
-    top = lam[0] - 1
-    rows = [top - lam[i] + (i + 1) for i in range(ell)]
-    cols = [top + (j + 1) for j in range(ell)]
-    return toeplitz_minor(seed, rows, cols)

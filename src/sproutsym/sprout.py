@@ -19,10 +19,10 @@ disagree, rather than returning a silently wrong value.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .errors import ConsistencyError, PrecisionError
-from .linalg import det_fraction
+from .linalg import det_int_bareiss
 from .partitions import Partition, enumerate_partitions, z_of
 from .series import (
     Poly,
@@ -130,7 +130,9 @@ def schur_coeff(seed: Seed, lam) -> Fraction:
         [seed.a_coeff(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
         for i in range(ell)
     ]
-    return det_fraction(rows)
+    scale = lcm(*(x.denominator for row in rows for x in row), 1)
+    det = det_int_bareiss([[int(x * scale) for x in row] for row in rows])
+    return Fraction(det, scale**ell)
 
 
 def phi_hom(seed: Seed, f: SymFunc) -> Fraction:

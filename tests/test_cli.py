@@ -281,6 +281,12 @@ class TestInputContract:
             ("positivity", "--seed", "geom", "--decimate", "-1"),
             ("positivity", "--seed", "secsqrt", "--minor-order", "2", "--degree", "4",
              "--basis", "h"),
+            ("positivity", "--seed", "geom", "--degree", "-1"),
+            ("positivity", "--seed", "geom", "--degree", "-1", "--decimate", "2"),
+            ("positivity", "--seed", "geom", "--degree", "-1", "--basis", "s",
+             "--nmax", "2"),
+            ("positivity", "--seed", "geom", "--minor-order", "0"),
+            ("positivity", "--seed", "geom", "--minor-order", "-2"),
         ],
     )
     def test_rejected_before_output(self, capsys, argv):

@@ -1,28 +1,50 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sproutsym.errors import BudgetError, PrecisionError
 from sproutsym.partitions import Partition, enumerate_partitions
 from sproutsym.positivity import (
+    _minor_count,
     decimation_check,
     expansion_positivity,
-    straight_shape_minor,
     toeplitz_minor,
     toeplitz_minors,
 )
 from sproutsym.seeds import seed_by_name
 from sproutsym.series import Series
-from sproutsym.sprout import Seed, schur_coeff
-from sproutsym.symfunc import Basis
+from sproutsym.sprout import Seed, schur_coeff, sprout_m
+from sproutsym.symfunc import Basis, convert
 
 
 def witness_seed(precision):
     """The sequence 1, 0, 1, 0, ...; fails total nonnegativity at order 2."""
     return Seed(Series([1 if n % 2 == 0 else 0 for n in range(precision + 1)]),
                 name="witness")
+
+
+def brute_violations(seed, max_order, max_degree, step=1):
+    """Every negative minor, one toeplitz_minor call per (rows, cols) pair.
+
+    With step d the minor is read at indices multiplied by d, which is the
+    minor of the decimated seed at the undivided indices.
+    """
+    found = []
+    indices = range(max_degree + 1)
+    for order in range(1, min(max_order, max_degree + 1) + 1):
+        for rows in combinations(indices, order):
+            for cols in combinations(indices, order):
+                value = toeplitz_minor(
+                    seed, [step * i for i in rows], [step * j for j in cols]
+                )
+                if value < 0:
+                    found.append((rows, cols, value))
+    return found
 
 
 class TestSingleMinor:
@@ -80,11 +102,113 @@ class TestMinorSweep:
 
 class TestStraightShapeConsistency:
     def test_minor_equals_schur_coefficient(self):
+        # rows lam_1 - 1 - lam_i + i and cols lam_1 - 1 + j (1-based i, j)
+        # pick det[a_(lam_i - i + j)] out of the Toeplitz matrix
         for name in ("secsqrt", "qfn", "l_genus"):
             seed = seed_by_name(name, 12)
             for n in range(1, 7):
+                expansion = convert(sprout_m(seed, n), Basis.S)
                 for lam in enumerate_partitions(n):
-                    assert straight_shape_minor(seed, lam) == schur_coeff(seed, lam)
+                    top = lam[0] - 1
+                    rows = [top - lam[i] + i + 1 for i in range(len(lam))]
+                    cols = [top + j + 1 for j in range(len(lam))]
+                    value = schur_coeff(seed, lam)
+                    assert value == toeplitz_minor(seed, rows, cols)
+                    assert value == expansion.coeff(lam)
+
+
+class TestSweepMatchesBruteForce:
+    SEEDS = ("l_genus", "ahat", "subset_exp(1,2)", "one_plus_t")
+
+    def test_catalog_and_witness(self):
+        # one_plus_t has mostly zero minors; witness, l_genus and ahat fail
+        seeds = [witness_seed(7)] + [seed_by_name(name, 7) for name in self.SEEDS]
+        total = 0
+        for seed in seeds:
+            for order, degree in ((1, 7), (2, 7), (3, 6), (3, 7)):
+                report = toeplitz_minors(seed, order, degree)
+                assert list(report.violations) == brute_violations(seed, order, degree)
+                assert report.passed == (not report.violations)
+                total += len(report.violations)
+        assert total > 0
+
+    def test_decimated(self):
+        total = 0
+        for seed in (witness_seed(14), seed_by_name("l_genus", 14),
+                     seed_by_name("ahat", 14)):
+            report = decimation_check(seed, 2, 3, 7)
+            assert list(report.violations) == brute_violations(seed, 3, 7, step=2)
+            total += len(report.violations)
+        assert total > 0
+
+    def test_budget_edge(self):
+        seed = seed_by_name("geom", 7)
+        for order, degree in ((1, 0), (2, 5), (3, 7)):
+            count = _minor_count(order, degree)
+            toeplitz_minors(seed, order, degree, minor_budget=count)
+            with pytest.raises(BudgetError):
+                toeplitz_minors(seed, order, degree, minor_budget=count - 1)
+
+    def test_negative_degree_rejected(self):
+        seed = seed_by_name("geom", 4)
+        with pytest.raises(ValueError):
+            toeplitz_minors(seed, 2, -1)
+        with pytest.raises(ValueError):
+            decimation_check(seed, 2, 2, -1)
+
+
+# a_k of a random seed: integers or fractions, zeros and negatives included
+COEFF = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+def leibniz_det(matrix):
+    """Determinant as the signed sum over permutations (small orders only)."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = prod((matrix[i][perm[i]] for i in range(n)), start=Fraction(1))
+        total += -term if inversions % 2 else term
+    return total
+
+
+@st.composite
+def skew_shapes(draw):
+    """A skew shape lam/mu with at most 4 rows and parts at most 4."""
+    lam = sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True)
+    mu = sorted((draw(st.integers(0, part)) for part in lam), reverse=True)
+    return lam, mu
+
+
+class TestProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(coeffs=st.lists(COEFF, max_size=6), order=st.integers(1, 3))
+    def test_sweep_matches_brute_force(self, coeffs, order):
+        seed = Seed(Series([1, *coeffs]))
+        degree = len(coeffs)
+        report = toeplitz_minors(seed, order, degree)
+        assert list(report.violations) == brute_violations(seed, order, degree)
+
+    @settings(deadline=None, max_examples=60)
+    @given(coeffs=st.lists(COEFF, min_size=8, max_size=8),
+           shape=skew_shapes())
+    def test_minor_is_skew_jacobi_trudi(self, coeffs, shape):
+        # rows lam_1 - 1 - lam_i + i and cols lam_1 - 1 - mu_j + j (1-based)
+        # make the minor det[a_(lam_i - mu_j - i + j)]
+        seed = Seed(Series([1, *coeffs]))
+        lam, mu = shape
+        ell = len(lam)
+        top = lam[0] - 1 if lam else 0
+        rows = [top - lam[i] + i + 1 for i in range(ell)]
+        cols = [top - mu[j] + j + 1 for j in range(ell)]
+        jacobi_trudi = [
+            [seed.a_coeff(lam[i] - mu[j] - i + j) for j in range(ell)]
+            for i in range(ell)
+        ]
+        assert toeplitz_minor(seed, rows, cols) == leibniz_det(jacobi_trudi)
 
 
 class TestExpansionPositivity:

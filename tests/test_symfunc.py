@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sproutsym import symfunc
 from sproutsym.errors import ConsistencyError
@@ -195,6 +197,15 @@ class TestOmega:
             basis = ALL_BASES[trial % 5]
             f = random_symfunc(rng, 6, basis)
             assert omega(omega(f)) == f
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), degree=st.integers(0, 8),
+           basis=st.sampled_from(ALL_BASES))
+    def test_involution_at_random_degree(self, data, degree, basis):
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        terms = {lam: data.draw(coeff) for lam in enumerate_partitions(degree)}
+        f = SymFunc(basis, degree, terms)
+        assert omega(omega(f)) == f
 
     def test_ring_homomorphism(self):
         rng = random.Random(5)
