@@ -175,7 +175,7 @@ def cmd_seeds(args) -> int:
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     nmax = args.nmax if args.nmax is not None else SUITE_DEFAULTS[args.suite]
-    checks = run_checks(suite(nmax), jobs=args.jobs)
+    checks = run_checks(suite(nmax))
     failures = 0
     for check in checks:
         if check.ok:
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named identity suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--nmax", type=_int_at_least(1), default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_pos = sub.add_parser("positivity", help="Toeplitz minor sweep and expansion signs")

@@ -38,52 +38,49 @@ def _check_alt_budget(length: int) -> None:
         )
 
 
-def _pattern_ok(prev: int, cur: int, position: int, block_start: int) -> bool:
-    """Down-up constraint inside a block: odd offsets descend, even ascend."""
-    offset = position - block_start
-    if offset % 2 == 1:
-        return prev > cur
-    return prev < cur
-
-
 def _walk_blocks(length: int, block_starts: frozenset, visit) -> None:
     """Backtrack over permutations of [length] alternating within each block.
 
-    ``visit`` receives the finished permutation as a list; the walk
-    explores values in increasing order, so visiting order is stable.
+    ``visit`` receives each finished permutation once, as a list that the
+    walk overwrites afterwards.  Each position tries only the unused values
+    its pattern allows (any at a block start, smaller ones where a descent
+    is due, larger ones where an ascent is due), in increasing order, so
+    the permutations arrive in lexicographic order.
     """
-    used = [False] * (length + 1)
-    word: list[int] = []
-    starts = sorted(block_starts)
+    if length == 0:
+        visit([])
+        return
+    # steps[p]: 0 at a block start, -1 where a descent is due, +1 for an ascent
+    steps = []
+    start = 0
+    for position in range(length):
+        if position in block_starts:
+            start = position
+        offset = position - start
+        steps.append(0 if offset == 0 else (-1 if offset % 2 else 1))
+    word = [0] * length
+    last = length - 1
 
-    def start_of(position: int) -> int:
-        lo = 0
-        for s in starts:
-            if s <= position:
-                lo = s
+    def place(position: int, free: int) -> None:
+        # bit v of free is set while value v is unused
+        step = steps[position]
+        if step == 0:
+            cand = free
+        elif step < 0:
+            cand = free & ((1 << word[position - 1]) - 1)
+        else:
+            above = word[position - 1] + 1
+            cand = free >> above << above
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            word[position] = low.bit_length() - 1
+            if position == last:
+                visit(word)
             else:
-                break
-        return lo
+                place(position + 1, free ^ low)
 
-    def place(position: int) -> None:
-        if position == length:
-            visit(word)
-            return
-        block_start = start_of(position)
-        for value in range(1, length + 1):
-            if used[value]:
-                continue
-            if position > block_start and not _pattern_ok(
-                word[-1], value, position, block_start
-            ):
-                continue
-            used[value] = True
-            word.append(value)
-            place(position + 1)
-            word.pop()
-            used[value] = False
-
-    place(0)
+    place(0, (1 << (length + 1)) - 2)
 
 
 def alternating_permutations(k: int):
@@ -107,6 +104,22 @@ def alternating_count(k: int) -> int:
     return count
 
 
+def _record_gaps(w) -> tuple:
+    """Record-partition key of a down-up word, without checking alternation.
+
+    One running-max pass over the odd-position subsequence finds its
+    left-to-right maxima; the gaps between them come back largest first.
+    """
+    odd = w[0::2]
+    records = []
+    for i, value in enumerate(odd):
+        if not records or value > top:
+            top = value
+            records.append(i)
+    records.append(len(odd))
+    return tuple(sorted((b - a for a, b in zip(records, records[1:])), reverse=True))
+
+
 def record_partition(w) -> Partition:
     """Record partition of an alternating permutation of even length.
 
@@ -117,14 +130,9 @@ def record_partition(w) -> Partition:
     if len(w) % 2 != 0:
         raise ValueError("record partition needs an even-length permutation")
     for pos in range(1, len(w)):
-        if not _pattern_ok(w[pos - 1], w[pos], pos, 0):
+        if not (w[pos - 1] > w[pos] if pos % 2 else w[pos - 1] < w[pos]):
             raise ValueError(f"{w!r} is not down-up alternating")
-    odd = w[0::2]
-    n = len(odd)
-    records = [i for i in range(n) if all(odd[i] > odd[j] for j in range(i))]
-    bounds = records[1:] + [n]
-    gaps = [b - a for a, b in zip(records, bounds)]
-    return Partition(sorted(gaps, reverse=True))
+    return Partition(_record_gaps(w))
 
 
 def rp_histogram(n: int) -> dict[Partition, int]:
@@ -132,14 +140,14 @@ def rp_histogram(n: int) -> dict[Partition, int]:
     if n < 1:
         raise ValueError("n must be positive")
     _check_alt_budget(2 * n)
-    hist: dict[Partition, int] = {}
+    counts: dict[tuple, int] = {}
 
     def bucket(word) -> None:
-        lam = record_partition(word)
-        hist[lam] = hist.get(lam, 0) + 1
+        key = _record_gaps(word)
+        counts[key] = counts.get(key, 0) + 1
 
     _walk_blocks(2 * n, frozenset({0}), bucket)
-    return hist
+    return {Partition(key): count for key, count in counts.items()}
 
 
 def piecewise_alt_count(lam) -> int:

@@ -1,11 +1,9 @@
 """Named verification suites behind the CLI ``verify`` subcommand.
 
 Each suite yields (name, thunk) pairs; a thunk returns (ok, detail).
-Thunks are independent pure computations, so the runner may execute them
-in a thread pool; results are always reported in declaration order.
+The runner calls the thunks one after another, in declaration order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -65,17 +63,8 @@ class Check:
     detail: str = ""
 
 
-def run_checks(pairs, jobs: int = 1) -> list[Check]:
-    pairs = list(pairs)
-    if jobs <= 1:
-        results = [thunk() for _, thunk in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda pair: pair[1](), pairs))
-    return [
-        Check(name, ok, detail)
-        for (name, _), (ok, detail) in zip(pairs, results)
-    ]
+def run_checks(pairs) -> list[Check]:
+    return [Check(name, *thunk()) for name, thunk in pairs]
 
 
 def _catalog(precision):

@@ -111,13 +111,6 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_jobs_flag_keeps_output_identical(self, capsys):
-        _, serial, _ = invoke(capsys, "verify", "--suite", "rp", "--nmax", "3")
-        _, threaded, _ = invoke(
-            capsys, "verify", "--suite", "rp", "--nmax", "3", "--jobs", "4"
-        )
-        assert serial == threaded
-
 
 class TestPositivityCommand:
     def test_minor_report(self, capsys):
@@ -287,6 +280,7 @@ class TestInputContract:
              "--nmax", "2"),
             ("positivity", "--seed", "geom", "--minor-order", "0"),
             ("positivity", "--seed", "geom", "--minor-order", "-2"),
+            ("verify", "--suite", "rp", "--nmax", "3", "--jobs", "2"),
         ],
     )
     def test_rejected_before_output(self, capsys, argv):

@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sproutsym.errors import BudgetError
 from sproutsym.oracles import (
@@ -10,6 +13,8 @@ from sproutsym.oracles import (
     IntervalOrder,
     Matching,
     SkewShape,
+    _record_gaps,
+    _walk_blocks,
     alternating_count,
     alternating_permutations,
     chromatic_sym,
@@ -35,6 +40,39 @@ def is_down_up(word):
         (word[i - 1] > word[i]) if i % 2 == 1 else (word[i - 1] < word[i])
         for i in range(1, len(word))
     )
+
+
+def down_up_in_blocks(word, starts):
+    cuts = sorted(starts | {len(word)})
+    return all(is_down_up(word[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
+def down_up_permutations(k):
+    return [w for w in permutations(range(1, k + 1)) if is_down_up(w)]
+
+
+@st.composite
+def walk_shapes(draw):
+    length = draw(st.integers(0, 8))
+    starts = draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=length))
+    return length, frozenset(starts | {0})
+
+
+class TestWalkBlocks:
+    @settings(deadline=None, max_examples=30)
+    @given(shape=walk_shapes())
+    def test_visits_the_filtered_permutations_in_order(self, shape):
+        length, starts = shape
+        visited = []
+        _walk_blocks(length, starts, lambda w: visited.append(tuple(w)))
+        assert visited == [
+            w for w in permutations(range(1, length + 1)) if down_up_in_blocks(w, starts)
+        ]
+
+    def test_length_zero_visits_the_empty_word_once(self):
+        visited = []
+        _walk_blocks(0, frozenset({0}), lambda w: visited.append(list(w)))
+        assert visited == [[]]
 
 
 class TestAlternating:
@@ -85,6 +123,11 @@ class TestRecordPartition:
         with pytest.raises(ValueError):
             record_partition((2, 1, 3))
 
+    def test_gap_key_matches_record_partition(self):
+        for k in range(0, 9, 2):
+            for w in down_up_permutations(k):
+                assert _record_gaps(w) == tuple(record_partition(w))
+
 
 class TestRpHistogram:
     def test_n2(self):
@@ -96,6 +139,11 @@ class TestRpHistogram:
     def test_n3_total(self):
         hist = rp_histogram(3)
         assert sum(hist.values()) == 61
+
+    def test_matches_filter_route_up_to_4(self):
+        for n in range(1, 5):
+            brute = Counter(record_partition(w) for w in down_up_permutations(2 * n))
+            assert rp_histogram(n) == brute
 
     def test_matches_phi_up_to_4(self):
         for n in range(1, 5):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sproutsym.errors import ConsistencyError, PrecisionError
 from sproutsym.seeds import euler_numbers
@@ -213,6 +215,27 @@ class TestPolyHelpers:
 class TestSeedFiles:
     def test_round_trip(self, tmp_path):
         f = sec_sqrt(4)
+        path = tmp_path / "seed.json"
+        path.write_text(dump_seed_series(f))
+        assert load_seed_series(path) == f
+
+    # tmp_path is shared by the examples; each one overwrites the same file
+    @settings(
+        deadline=None,
+        max_examples=60,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        tail=st.lists(
+            st.one_of(
+                st.integers(-10**6, 10**6),
+                st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+            ),
+            max_size=12,
+        )
+    )
+    def test_round_trip_property(self, tmp_path, tail):
+        f = Series([1, *tail])
         path = tmp_path / "seed.json"
         path.write_text(dump_seed_series(f))
         assert load_seed_series(path) == f
