@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos.add_argument("--degree", type=_int_at_least(0), default=10)
     p_pos.add_argument("--decimate", type=_int_at_least(1), default=1)
     p_pos.add_argument("--basis", choices=["s", "e", "h"], default=None)
-    p_pos.add_argument("--nmax", type=int, default=None)
+    p_pos.add_argument("--nmax", type=_int_at_least(1), default=None)
     p_pos.set_defaults(func=cmd_positivity)
 
     p_special = sub.add_parser("special", help="closed-form specializations")

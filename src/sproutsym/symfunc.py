@@ -1,21 +1,23 @@
 """Symmetric functions of fixed homogeneous degree in the m, p, e, h, s bases.
 
-Conversion strategy: the power-sum basis P is the single pivot.
+Conversion strategy: the power-sum basis P is the single pivot, and the
+tables it needs have integer entries except for h -> p.
 
 * p -> m expands products of power sums in the monomial basis directly.
-* m -> p back-substitutes through the p->m matrix, which is triangular
-  in reverse-lex order with diagonal prod m_i(lam)! (Macdonald I.6),
-  over integer numerators and the common denominator n!; one table per
-  degree, cached.
+* p -> h uses Newton's identity p_n = n h_n - sum_{i<n} h_{n-i} p_i,
+  and p_lam is the h-product of its parts (Macdonald I.2).
+* m -> p reads the same table by Hall duality: <m_mu, p_rho> is
+  [h_mu] p_rho, so [p_rho] f = sum_mu [h_mu]p_rho * [m_mu] f / z_rho.
+* h -> p uses h_n = sum_rho p_rho / z_rho (Macdonald I.4).
 * s -> h uses the Jacobi-Trudi determinant det[h_{lam_i - i + j}],
   expanded symbolically over its nonzero structure.
-* e <-> h ride the omega involution.
-* Coefficient extraction into H uses Hall duality ([h_lam] f = <f, m_lam>)
-  and into S uses Schur self-duality paired through Jacobi-Trudi:
-  [s_lam] f = <f, s_lam> = sum_nu [h_nu]s_lam * [m_nu] f.
+* e rides the omega involution: p_rho -> (-1)**(|rho| - len(rho)) p_rho
+  sends h_lam to e_lam.
+* Extraction into S is from the m-vector: [s_lam] f = <f, s_lam> =
+  sum_nu [h_nu]s_lam * [m_nu] f, so an input in m needs no pivot.
 
-All transition tables are per-degree, write-once caches; every value in
-them is exact, so round trips are exact equalities, not approximations.
+All transition tables are per-partition, write-once caches; every value
+in them is exact, so round trips are exact equalities, not approximations.
 """
 
 from enum import Enum
@@ -23,7 +25,6 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .errors import ConsistencyError
 from .partitions import EMPTY, Partition, conjugate, enumerate_partitions, union, z_of
 from .series import rat_str
 
@@ -137,6 +138,26 @@ def scale(f: SymFunc, c) -> SymFunc:
 # Transition tables, all pivoting through the power-sum basis.
 
 
+def _lincomb(vectors) -> dict:
+    """Sum of c * vec over the (vec, c) pairs, zero coefficients dropped."""
+    out: dict = {}
+    for vec, c in vectors:
+        for key, d in vec.items():
+            out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _union_product(f: dict, g: dict) -> dict:
+    """Product of two expansions in a multiplicative basis (p, e or h).
+
+    Index partitions multiply by multiset union; for a fixed lam the map
+    mu -> lam + mu is injective, so each term of f contributes one vector.
+    """
+    return _lincomb(
+        ({union(lam, mu): d for mu, d in g.items()}, c) for lam, c in f.items()
+    )
+
+
 def _mul_m_by_p(mvec: dict, r: int) -> dict:
     """Multiply a monomial-basis expansion by the power sum p_r.
 
@@ -172,63 +193,37 @@ def _p_in_m(lam: Partition) -> dict:
 
 
 @cache
-def _m_in_p_table(n: int) -> dict:
-    """m_lam in the power-sum basis for every lam of n, by back-substitution.
+def _p_in_h(lam: Partition) -> dict:
+    """Expansion of p_lam in the complete homogeneous basis (integer coefficients).
 
-    p_lam = sum_mu L[lam, mu] m_mu with integer L; every mu != lam is a
-    coarsening of lam, so it comes earlier in reverse-lex order, and
-    L[lam, lam] = prod m_i(lam)!.  Rows are integer numerators over n!,
-    which every denominator divides, so each division by the diagonal
-    must be exact.
+    Newton's identity n h_n = sum_{i=1..n} p_i h_{n-i} gives
+    p_n = n h_n - sum_{i<n} h_{n-i} p_i, and p_lam is the h-product of
+    its parts.
     """
-    denom = factorial(n)
-    rows: dict[Partition, dict[Partition, int]] = {}
-    for lam in enumerate_partitions(n):
-        p_lam = _p_in_m(lam)
-        acc = {lam: denom}
-        for mu, c in p_lam.items():
-            if mu != lam:
-                for rho, v in rows[mu].items():
-                    acc[rho] = acc.get(rho, 0) - c * v
-        row: dict[Partition, int] = {}
-        for rho, v in acc.items():
-            q, r = divmod(v, p_lam[lam])
-            if r:
-                raise ConsistencyError(
-                    f"m_{list(lam)} in the p basis is not integral over {n}!"
-                )
-            if q:
-                row[rho] = q
-        rows[lam] = row
-    return {
-        lam: {rho: Fraction(v, denom) for rho, v in sorted(row.items(), reverse=True)}
-        for lam, row in rows.items()
-    }
+    if not lam:
+        return {EMPTY: 1}
+    n = lam[0]
+    if len(lam) > 1:
+        return _union_product(_p_in_h(Partition((n,))), _p_in_h(Partition(lam[1:])))
+    lower = (
+        (_union_product({Partition((n - i,)): 1}, _p_in_h(Partition((i,)))), -1)
+        for i in range(1, n)
+    )
+    return _lincomb([({lam: n}, 1), *lower])
 
 
 @cache
 def _h_in_p(lam: Partition) -> dict:
-    """Expansion of h_lam in the power-sum basis."""
+    """Expansion of h_lam in the power-sum basis: h_n = sum_{rho |- n} p_rho / z_rho."""
     if not lam:
         return {EMPTY: Fraction(1)}
-    tail = _h_in_p(Partition(lam[1:]))
     head = {rho: Fraction(1, z_of(rho)) for rho in enumerate_partitions(lam[0])}
-    out: dict[Partition, Fraction] = {}
-    for rho, c in tail.items():
-        for sigma, d in head.items():
-            key = union(rho, sigma)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return out
+    return _union_product(head, _h_in_p(Partition(lam[1:])))
 
 
-def _omega_sign(lam: Partition) -> int:
-    return -1 if (lam.n - len(lam)) % 2 else 1
-
-
-@cache
-def _e_in_p(lam: Partition) -> dict:
-    """Expansion of e_lam in the power-sum basis (omega image of h_lam)."""
-    return {rho: c * _omega_sign(rho) for rho, c in _h_in_p(lam).items()}
+def _omega_signs(vec: dict) -> dict:
+    """omega on power-sum coefficients: p_rho -> (-1)**(|rho| - len(rho)) p_rho."""
+    return {rho: -c if (rho.n - len(rho)) % 2 else c for rho, c in vec.items()}
 
 
 @cache
@@ -275,67 +270,32 @@ def _s_in_h(lam: Partition) -> dict:
     return {Partition(parts): c for parts, c in top.items() if c != 0}
 
 
-@cache
-def _s_in_p(lam: Partition) -> dict:
-    out: dict[Partition, Fraction] = {}
-    for mu, c in _s_in_h(lam).items():
-        for rho, d in _h_in_p(mu).items():
-            out[rho] = out.get(rho, Fraction(0)) + c * d
-    return {rho: c for rho, c in out.items() if c != 0}
-
-
 def _to_p_terms(f: SymFunc) -> dict:
     """Coefficient dict of f in the power-sum basis."""
     if f.basis is Basis.P:
         return dict(f.terms)
     if f.basis is Basis.M:
-        table = _m_in_p_table(f.degree)
-        vectors = ((table[lam], c) for lam, c in f.terms.items())
-    elif f.basis is Basis.H:
-        vectors = ((_h_in_p(lam), c) for lam, c in f.terms.items())
-    elif f.basis is Basis.E:
-        vectors = ((_e_in_p(lam), c) for lam, c in f.terms.items())
-    else:
-        vectors = ((_s_in_p(lam), c) for lam, c in f.terms.items())
-    out: dict[Partition, Fraction] = {}
-    for vec, c in vectors:
-        for rho, d in vec.items():
-            out[rho] = out.get(rho, Fraction(0)) + c * d
-    return {rho: c for rho, c in out.items() if c != 0}
+        # Hall duality: [p_rho] f = <f, p_rho> / z_rho, <m_mu, p_rho> = [h_mu] p_rho.
+        pvec = {}
+        for rho in enumerate_partitions(f.degree):
+            row = _p_in_h(rho)
+            acc = sum((c * row[mu] for mu, c in f.terms.items() if mu in row), Fraction(0))
+            if acc:
+                pvec[rho] = acc / z_of(rho)
+        return pvec
+    hvec = f.terms
+    if f.basis is Basis.S:
+        hvec = _lincomb((_s_in_h(lam), c) for lam, c in hvec.items())
+    pvec = _lincomb((_h_in_p(mu), c) for mu, c in hvec.items())
+    return _omega_signs(pvec) if f.basis is Basis.E else pvec
 
 
-def _pair_p(pvec: dict, other: dict) -> Fraction:
-    """Hall pairing of two power-sum coefficient dicts of equal degree."""
-    acc = Fraction(0)
-    for rho, c in pvec.items():
-        d = other.get(rho)
-        if d is not None:
-            acc += c * d * z_of(rho)
-    return acc
+def _m_to_s(mvec: dict, degree: int) -> dict:
+    """Schur coefficients from monomial ones.
 
-
-def _from_p_terms(pvec: dict, degree: int, target: Basis) -> dict:
-    if target is Basis.P:
-        return dict(pvec)
-    if target is Basis.M:
-        out: dict[Partition, Fraction] = {}
-        for rho, c in pvec.items():
-            for mu, d in _p_in_m(rho).items():
-                out[mu] = out.get(mu, Fraction(0)) + c * d
-        return out
-    if target is Basis.E:
-        pvec = {rho: c * _omega_sign(rho) for rho, c in pvec.items()}
-        target = Basis.H
-    if target is Basis.H:
-        table = _m_in_p_table(degree)
-        return {
-            mu: coeff
-            for mu in enumerate_partitions(degree)
-            if (coeff := _pair_p(pvec, table[mu])) != 0
-        }
-    # Schur: [s_mu] f = <f, s_mu> = sum_nu [h_nu]s_mu * <f, h_nu>, and
-    # <f, h_nu> = [m_nu] f by Hall duality.
-    mvec = _from_p_terms(pvec, degree, Basis.M)
+    [s_mu] f = <f, s_mu> = sum_nu [h_nu]s_mu * [m_nu] f, by self-duality
+    of s and Hall duality of m and h, with integer Jacobi-Trudi rows.
+    """
     return {
         mu: coeff
         for mu in enumerate_partitions(degree)
@@ -343,10 +303,23 @@ def _from_p_terms(pvec: dict, degree: int, target: Basis) -> dict:
     }
 
 
+def _from_p_terms(pvec: dict, degree: int, target: Basis) -> dict:
+    if target is Basis.P:
+        return dict(pvec)
+    if target is Basis.E:
+        pvec = _omega_signs(pvec)
+    if target in (Basis.H, Basis.E):
+        return _lincomb((_p_in_h(rho), c) for rho, c in pvec.items())
+    mvec = _lincomb((_p_in_m(rho), c) for rho, c in pvec.items())
+    return mvec if target is Basis.M else _m_to_s(mvec, degree)
+
+
 def convert(f: SymFunc, target: Basis) -> SymFunc:
     """Rewrite f in the target basis; an exact bijection on valid inputs."""
     if f.basis is target:
         return f
+    if f.basis is Basis.M and target is Basis.S:
+        return SymFunc(target, f.degree, _m_to_s(f.terms, f.degree))
     return SymFunc(target, f.degree, _from_p_terms(_to_p_terms(f), f.degree, target))
 
 
@@ -362,12 +335,7 @@ def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     else:
         basis = Basis.P
         fterms, gterms = _to_p_terms(f), _to_p_terms(g)
-    out: dict[Partition, Fraction] = {}
-    for lam, c in fterms.items():
-        for mu, d in gterms.items():
-            key = union(lam, mu)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return SymFunc(basis, f.degree + g.degree, out)
+    return SymFunc(basis, f.degree + g.degree, _union_product(fterms, gterms))
 
 
 def omega(f: SymFunc) -> SymFunc:
@@ -378,8 +346,7 @@ def omega(f: SymFunc) -> SymFunc:
         return SymFunc(Basis.E, f.degree, f.terms)
     if f.basis is Basis.S:
         return SymFunc(Basis.S, f.degree, {conjugate(lam): c for lam, c in f.terms.items()})
-    pvec = _to_p_terms(f)
-    pvec = {rho: c * _omega_sign(rho) for rho, c in pvec.items()}
+    pvec = _omega_signs(_to_p_terms(f))
     return SymFunc(f.basis, f.degree, _from_p_terms(pvec, f.degree, f.basis))
 
 
@@ -387,7 +354,10 @@ def scalar_product(f: SymFunc, g: SymFunc) -> Fraction:
     """Hall inner product; zero when the degrees differ."""
     if f.degree != g.degree:
         return Fraction(0)
-    return _pair_p(_to_p_terms(f), _to_p_terms(g))
+    fv, gv = _to_p_terms(f), _to_p_terms(g)
+    return sum(
+        (c * gv[rho] * z_of(rho) for rho, c in fv.items() if rho in gv), Fraction(0)
+    )
 
 
 def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:

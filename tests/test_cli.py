@@ -281,6 +281,10 @@ class TestInputContract:
             ("positivity", "--seed", "geom", "--minor-order", "0"),
             ("positivity", "--seed", "geom", "--minor-order", "-2"),
             ("verify", "--suite", "rp", "--nmax", "3", "--jobs", "2"),
+            ("positivity", "--seed", "geom", "--minor-order", "2", "--degree", "3",
+             "--basis", "s", "--nmax", "0"),
+            ("positivity", "--seed", "geom", "--minor-order", "2", "--degree", "3",
+             "--basis", "s", "--nmax", "-2"),
         ],
     )
     def test_rejected_before_output(self, capsys, argv):

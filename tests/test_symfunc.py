@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sproutsym import symfunc
-from sproutsym.errors import ConsistencyError
 from sproutsym.partitions import EMPTY, Partition, enumerate_partitions, z_of
 from sproutsym.seeds import seed_by_name
 from sproutsym.sprout import sprout_m
@@ -38,6 +37,15 @@ def random_symfunc(rng, degree, basis):
         if rng.random() < 0.7
     }
     return SymFunc(basis, degree, terms)
+
+
+COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def symfuncs(basis, degree):
+    """Strategy: a symmetric function of the given basis and degree, any support."""
+    keys = st.sampled_from(enumerate_partitions(degree))
+    return st.dictionaries(keys, COEFF).map(lambda terms: SymFunc(basis, degree, terms))
 
 
 class TestSymFuncType:
@@ -108,42 +116,53 @@ class TestConvertBijection:
                         there = convert(element, dst)
                         assert convert(there, src) == element
 
+    @pytest.mark.parametrize(
+        "src,dst", [(a, b) for a in ALL_BASES for b in ALL_BASES if a is not b]
+    )
+    @settings(deadline=None, max_examples=15)
+    @given(data=st.data(), degree=st.integers(0, 10))
+    def test_round_trip_at_random_degree(self, src, dst, data, degree):
+        f = data.draw(symfuncs(src, degree))
+        assert convert(convert(f, dst), src) == f
+
 
 class TestTransitionTables:
-    def test_m_in_p_table_inverts_p_in_m(self):
+    def test_m_to_p_inverts_p_in_m(self):
         for n in range(13):
-            table = symfunc._m_in_p_table(n)
             for lam in enumerate_partitions(n):
-                back: dict = {}
-                for rho, c in table[lam].items():
-                    for mu, d in symfunc._p_in_m(rho).items():
-                        back[mu] = back.get(mu, 0) + c * d
-                assert {mu: c for mu, c in back.items() if c != 0} == {lam: 1}
+                pvec = symfunc._to_p_terms(basis_element(Basis.M, lam))
+                assert symfunc._from_p_terms(pvec, n, Basis.M) == {lam: 1}
 
-    def test_schur_extraction_matches_schur_pairing(self):
+    def test_schur_extraction_matches_scalar_product(self):
         for n in range(10):
             for spec in CATALOG_SPECS:
                 f = sprout_m(seed_by_name(spec, n), n)
-                pvec = symfunc._to_p_terms(f)
-                want = {
-                    mu: c
-                    for mu in enumerate_partitions(n)
-                    if (c := symfunc._pair_p(pvec, symfunc._s_in_p(mu))) != 0
-                }
-                assert convert(f, Basis.S).terms == want
+                schur = convert(f, Basis.S)
+                for mu in enumerate_partitions(n):
+                    want = scalar_product(f, basis_element(Basis.S, mu))
+                    assert schur.coeff(mu) == want
 
-    def test_inexact_back_substitution_raises(self, monkeypatch):
-        real = symfunc._p_in_m
+    def test_newton_identities_in_low_degree(self):
+        p2 = {Partition((2,)): 2, Partition((1, 1)): -1}
+        p3 = {Partition((3,)): 3, Partition((2, 1)): -3, Partition((1, 1, 1)): 1}
+        assert symfunc._p_in_h(Partition((2,))) == p2
+        assert symfunc._p_in_h(Partition((3,))) == p3
+        assert convert(basis_element(Basis.P, (3,)), Basis.H).terms == p3
 
-        def tampered(lam):
-            out = dict(real(lam))
-            if lam == Partition((1, 1)):
-                out[lam] = 3  # the true diagonal entry is 2! = 2
-            return out
+    def test_p_in_h_inverts_h_in_p(self):
+        for n in range(11):
+            for rho in enumerate_partitions(n):
+                back = symfunc._lincomb(
+                    (symfunc._h_in_p(mu), c) for mu, c in symfunc._p_in_h(rho).items()
+                )
+                assert back == {rho: 1}
 
-        monkeypatch.setattr(symfunc, "_p_in_m", tampered)
-        with pytest.raises(ConsistencyError):
-            symfunc._m_in_p_table.__wrapped__(2)
+    def test_sprout_round_trips_through_every_basis(self):
+        for n in range(11):
+            for spec in CATALOG_SPECS:
+                f = sprout_m(seed_by_name(spec, n), n)
+                for basis in (Basis.H, Basis.E, Basis.S, Basis.P):
+                    assert convert(convert(f, basis), Basis.M) == f
 
 
 class TestDuality:
@@ -202,8 +221,7 @@ class TestOmega:
     @given(data=st.data(), degree=st.integers(0, 8),
            basis=st.sampled_from(ALL_BASES))
     def test_involution_at_random_degree(self, data, degree, basis):
-        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-        terms = {lam: data.draw(coeff) for lam in enumerate_partitions(degree)}
+        terms = {lam: data.draw(COEFF) for lam in enumerate_partitions(degree)}
         f = SymFunc(basis, degree, terms)
         assert omega(omega(f)) == f
 
@@ -240,6 +258,24 @@ class TestMultiply:
         product = multiply(basis_element(Basis.M, (2,)), basis_element(Basis.S, (1,)))
         assert product.basis is Basis.P
         assert product.degree == 3
+
+
+class TestBilinearity:
+    @pytest.mark.parametrize("product", [multiply, kronecker])
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), d1=st.integers(0, 5),
+           fbasis=st.sampled_from(ALL_BASES), gbasis=st.sampled_from(ALL_BASES),
+           a=COEFF, b=COEFF)
+    def test_bilinear(self, product, data, d1, fbasis, gbasis, a, b):
+        d2 = d1 if product is kronecker else data.draw(st.integers(0, 5))
+        f1, f2 = data.draw(symfuncs(fbasis, d1)), data.draw(symfuncs(fbasis, d1))
+        g1, g2 = data.draw(symfuncs(gbasis, d2)), data.draw(symfuncs(gbasis, d2))
+
+        def lin(u, v):
+            return add(scale(u, a), scale(v, b))
+
+        assert product(lin(f1, f2), g1) == lin(product(f1, g1), product(f2, g1))
+        assert product(f1, lin(g1, g2)) == lin(product(f1, g1), product(f1, g2))
 
 
 class TestKronecker:
