@@ -25,7 +25,7 @@ from .positivity import (
     toeplitz_minors,
 )
 from .seeds import SeedSpec, bernoulli, euler_numbers, phi_abs, seed_by_name
-from .series import PolySeries, Series, hook_ratio
+from .series import Series
 from .sprout import (
     KroneckerReport,
     Seed,
@@ -63,7 +63,6 @@ __all__ = [
     "KroneckerReport",
     "MinorReport",
     "Partition",
-    "PolySeries",
     "PositivityReport",
     "PrecisionError",
     "Seed",
@@ -79,7 +78,6 @@ __all__ = [
     "euler_numbers",
     "expansion_in",
     "expansion_positivity",
-    "hook_ratio",
     "kronecker",
     "kronecker_hom_check",
     "multinomial",

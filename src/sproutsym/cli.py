@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = sub.add_parser("expand", help="expand R_n of a seed in a chosen basis")
     p_expand.add_argument("--seed", required=True, help="catalog name, name(args), or file:PATH")
-    p_expand.add_argument("--n", type=int, required=True)
+    p_expand.add_argument("--n", type=_int_at_least(0), required=True)
     p_expand.add_argument("--basis", choices=["m", "p", "e", "h", "s"], required=True)
     p_expand.add_argument("--scale", choices=["none", "fact2n"], default="none",
                           help="fact2n multiplies by (2n)!")
@@ -324,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_special = sub.add_parser("special", help="closed-form specializations")
     p_special.add_argument("--seed", required=True)
     p_special.add_argument("--op", choices=["sn", "ones", "hk", "hpair", "hooks"], required=True)
-    p_special.add_argument("--nmax", type=int, default=8)
-    p_special.add_argument("--k", type=int, default=1)
-    p_special.add_argument("--i", type=int, default=1)
-    p_special.add_argument("--j", type=int, default=1)
-    p_special.add_argument("--n", type=int, default=1)
+    p_special.add_argument("--nmax", type=_int_at_least(0), default=8)
+    p_special.add_argument("--k", type=_int_at_least(0), default=1)
+    p_special.add_argument("--i", type=_int_at_least(1), default=1)
+    p_special.add_argument("--j", type=_int_at_least(1), default=1)
+    p_special.add_argument("--n", type=_int_at_least(1), default=1)
     p_special.add_argument("--format", choices=["text", "json"], default="text")
     p_special.set_defaults(func=cmd_special)
 

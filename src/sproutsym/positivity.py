@@ -194,8 +194,16 @@ def expansion_positivity(seed: Seed, n_max: int, basis: Basis) -> PositivityRepo
     strictly negative coefficient, scanning degrees upward and partitions
     in canonical order.
 
-    For the e basis the necessary inequality a_n <= a_{n-1}/n is checked
-    first; its earliest failure is recorded alongside the full sweep.
+    For the e basis the Newton inequalities
+    a_k^2 >= (1 + 1/k) a_{k-1} a_{k+1}, k = 1..n_max-1, are checked first
+    and the degree k+1 of the earliest failure is recorded alongside the
+    full sweep.  Both sides scale by c^(2k) under F(t) -> F(ct), so the
+    check, like e-positivity for c > 0, ignores the scale of t.  The
+    inequalities hold for every seed
+    e^(gamma t) prod(1 + beta_i t) with gamma, beta_i >= 0, whose R_n are
+    all e-positive by the dual Cauchy identity; a failure at k >= 2 only
+    places the seed outside that family.  A failure at k = 1 certifies a
+    negative coefficient: R_2 = a_2 e_1^2 + (a_1^2 - 2 a_2) e_2.
     """
     if basis not in (Basis.S, Basis.E, Basis.H):
         raise ValueError("positivity sweep supports the s, e and h bases only")
@@ -205,9 +213,10 @@ def expansion_positivity(seed: Seed, n_max: int, basis: Basis) -> PositivityRepo
         raise PrecisionError(f"degree {n_max} beyond seed precision {seed.precision}")
     precheck = None
     if basis is Basis.E:
-        for n in range(1, n_max + 1):
-            if seed.a_coeff(n) > seed.a_coeff(n - 1) / n:
-                precheck = n
+        for k in range(1, n_max):
+            bound = (1 + Fraction(1, k)) * seed.a_coeff(k - 1) * seed.a_coeff(k + 1)
+            if seed.a_coeff(k) ** 2 < bound:
+                precheck = k + 1
                 break
     first_negative = None
     for n in range(1, n_max + 1):

@@ -6,10 +6,6 @@ Coefficients beyond N are unknown, not zero: reading one raises
 Nothing is ever silently zero-padded, so identity and positivity checks
 can only see coefficients that were really computed.
 
-``PolySeries`` is the same discipline with coefficients that are
-polynomials in a second indeterminate u (tuples of Fractions indexed by
-the power of u); it backs the two-variable ratio f(t)/f(-u t).
-
 The seed-file format also lives here: a JSON array of rationals written
 as "p/q" strings, index = power of t, entry 0 equal to "1".
 """
@@ -146,7 +142,7 @@ def decimate(f: Series, d: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in u (tuples of Fractions, index = power of u) and PolySeries.
+# Polynomials in u (tuples of Fractions, index = power of u).
 
 Poly = tuple  # tuple[Fraction, ...]; () is the zero polynomial
 
@@ -156,42 +152,6 @@ def poly_trim(c) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(Fraction(x) for x in c)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return poly_trim(out)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_scale(a: Poly, s) -> Poly:
-    s = _frac(s)
-    if s == 0:
-        return ()
-    return poly_trim(x * s for x in a)
-
-
-def poly_eval(a: Poly, x) -> Fraction:
-    x = _frac(x)
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def poly_div_one_plus_u(p: Poly) -> Poly:
@@ -206,66 +166,6 @@ def poly_div_one_plus_u(p: Poly) -> Poly:
     if p[0] - carry != 0:
         raise ConsistencyError(f"polynomial {p!r} is not divisible by 1+u")
     return poly_trim(q)
-
-
-class PolySeries:
-    """Truncated series in t whose coefficients are polynomials in u."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(poly_trim(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("a series needs at least its constant term")
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        if n > self.precision:
-            raise PrecisionError(
-                f"coefficient {n} requested beyond stored precision {self.precision}"
-            )
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolySeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"PolySeries({list(self.coeffs)!r})"
-
-
-def hook_ratio(f: Series) -> PolySeries:
-    """Expand f(t) / f(-u t) as a PolySeries.
-
-    Coefficient n is a polynomial P_n(u) of degree at most n; P_0 = 1.
-    """
-    if f.coeffs[0] != 1:
-        raise ValueError("hook ratio needs constant term 1")
-    n_max = f.precision
-    # g = f(-u t): coefficient of t^n is a_n * (-u)^n.
-    g: list[Poly] = []
-    for n in range(n_max + 1):
-        a = f.coeffs[n] if n % 2 == 0 else -f.coeffs[n]
-        g.append(poly_trim([Fraction(0)] * n + [a]))
-    # h = 1 / f(-u t) by the usual inverse recurrence, in K[u].
-    h: list[Poly] = [(Fraction(1),)]
-    for n in range(1, n_max + 1):
-        acc: Poly = ()
-        for k in range(1, n + 1):
-            acc = poly_add(acc, poly_mul(g[k], h[n - k]))
-        h.append(poly_scale(acc, -1))
-    # p = f(t) * h.
-    p: list[Poly] = []
-    for n in range(n_max + 1):
-        acc = ()
-        for k in range(n + 1):
-            acc = poly_add(acc, poly_scale(h[n - k], f.coeffs[k]))
-        p.append(acc)
-    return PolySeries(p)
 
 
 # ---------------------------------------------------------------------------

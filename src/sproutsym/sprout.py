@@ -28,7 +28,6 @@ from .series import (
     Poly,
     Series,
     exp_series,
-    hook_ratio,
     inverse,
     log_series,
     mul,
@@ -260,18 +259,26 @@ def _hook(n: int, k: int) -> Partition:
     return Partition((n - k,) + (1,) * k)
 
 
+def _hook_numerator(seed: Seed, n: int) -> Poly:
+    """P_n(u) = [t^n] F(t)/F(-ut) = sum_j a_{n-j} g_j u^j, g = 1/F(-t)."""
+    g = inverse(negate_arg(seed.a.truncate(n)))
+    return poly_trim([seed.a_coeff(n - j) * g.coeff(j) for j in range(n + 1)])
+
+
 def special_hooks(seed: Seed, n: int) -> Poly:
     """P_n(u) / (1+u) where F(t)/F(-ut) = sum P_n(u) t^n.
 
-    The quotient's u^k coefficient is the hook Schur coefficient
-    [s_{(n-k,1^k)}] R_n; failure to divide exactly by 1+u would mean an
-    arithmetic bug, not a property of the seed.
+    Since 1/F(-ut) = sum_j g_j u^j t^j with g = 1/F(-t), the seed that
+    ``omega_seed`` builds, P_n(u) = sum_j a_{n-j} g_j u^j: one product of
+    two series.  The quotient's u^k coefficient is the hook Schur
+    coefficient [s_{(n-k,1^k)}] R_n; failure to divide exactly by 1+u
+    would mean an arithmetic bug, not a property of the seed (F(t)/F(t)
+    = 1 gives P_n(-1) = 0 for n >= 1).
     """
     if n < 1:
         raise ValueError("n must be positive")
     _check_degree(seed, n)
-    ratio = hook_ratio(seed.a.truncate(n))
-    closed = poly_div_one_plus_u(ratio.coeff(n))
+    closed = poly_div_one_plus_u(_hook_numerator(seed, n))
     generic = poly_trim([schur_coeff(seed, _hook(n, k)) for k in range(n)])
     return _consistent(f"P_{n}(u)/(1+u)", closed, generic)
 

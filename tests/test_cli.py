@@ -134,6 +134,20 @@ class TestPositivityCommand:
         assert len(lines) == 2
         assert json.loads(lines[1])["passed"] is True
 
+    def test_e_precheck_ignores_scale(self, capsys, tmp_path):
+        # F = 1 + 2t makes R_n = 2^n e_n: e-positive, so the pre-check stays silent
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(["1", "2"]))
+        code, out, _ = invoke(
+            capsys,
+            "positivity", "--seed", f"file:{path}", "--minor-order", "1", "--degree", "1",
+            "--basis", "e", "--nmax", "1",
+        )
+        assert code == 0
+        sweep = json.loads(out.strip().splitlines()[1])
+        assert sweep["passed"] is True
+        assert sweep["e_precheck_first_fail"] is None
+
     def test_decimated(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -261,6 +275,17 @@ class TestExitCodes:
         assert code == 3
 
 
+# Out-of-range integer flags, each with the flag argparse must name.
+FLAG_ROWS = [
+    (("expand", "--seed", "geom", "--n", "-1", "--basis", "h"), "--n"),
+    (("special", "--seed", "geom", "--op", "hooks", "--n", "0"), "--n"),
+    (("special", "--seed", "geom", "--op", "hpair", "--i", "0"), "--i"),
+    (("special", "--seed", "geom", "--op", "hpair", "--j", "-1"), "--j"),
+    (("special", "--seed", "geom", "--op", "sn", "--nmax", "-1"), "--nmax"),
+    (("special", "--seed", "geom", "--op", "ones", "--k", "-1"), "--k"),
+]
+
+
 class TestInputContract:
     """Bad arguments exit 2 before anything reaches stdout."""
 
@@ -285,9 +310,16 @@ class TestInputContract:
              "--basis", "s", "--nmax", "0"),
             ("positivity", "--seed", "geom", "--minor-order", "2", "--degree", "3",
              "--basis", "s", "--nmax", "-2"),
+            *(argv for argv, _ in FLAG_ROWS),
         ],
     )
     def test_rejected_before_output(self, capsys, argv):
         code, out, _ = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("argv,flag", FLAG_ROWS)
+    def test_error_names_the_flag(self, capsys, argv, flag):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert f"argument {flag}:" in err

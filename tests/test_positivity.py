@@ -17,7 +17,7 @@ from sproutsym.positivity import (
     toeplitz_minors,
 )
 from sproutsym.seeds import seed_by_name
-from sproutsym.series import Series
+from sproutsym.series import Series, exp_series, mul
 from sproutsym.sprout import Seed, schur_coeff, sprout_m
 from sproutsym.symfunc import Basis, convert
 
@@ -229,10 +229,37 @@ class TestExpansionPositivity:
         report = expansion_positivity(seed_by_name("one_plus_t", 4), 4, Basis.E)
         assert report.passed
         assert report.e_precheck_first_fail is None
-        # the witness breaks a_n <= a_{n-1}/n at n = 2 and the sweep agrees
+        # the witness breaks a_1^2 >= 2 a_0 a_2, so R_2 has e_2 coefficient -2
         report = expansion_positivity(witness_seed(4), 4, Basis.E)
         assert report.e_precheck_first_fail == 2
         assert not report.passed
+
+    def test_e_precheck_ignores_scale(self):
+        # F(ct) multiplies R_n by c^n: 1 + 2t and e^(2t) are e-positive like 1 + t
+        one_plus_2t = Seed(Series([1, 2, 0, 0, 0]))
+        exp_2t = Seed(exp_series(Series([0, 2, 0, 0, 0])))
+        for seed in (one_plus_2t, exp_2t):
+            report = expansion_positivity(seed, 4, Basis.E)
+            assert report.e_precheck_first_fail is None
+            assert report.passed
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        betas=st.lists(
+            st.fractions(min_value=0, max_value=5, max_denominator=6), max_size=4
+        ),
+        gamma=st.fractions(min_value=0, max_value=5, max_denominator=6),
+        n_max=st.integers(1, 6),
+    )
+    def test_e_precheck_never_fires_without_alpha(self, betas, gamma, n_max):
+        # e^(gamma t) prod(1 + beta_i t): every R_n is e-positive (dual Cauchy)
+        zeros = [0] * (n_max - 1)
+        f = exp_series(Series([0, gamma, *zeros]))
+        for beta in betas:
+            f = mul(f, Series([1, beta, *zeros]))
+        report = expansion_positivity(Seed(f), n_max, Basis.E)
+        assert report.e_precheck_first_fail is None
+        assert report.passed
 
     def test_rejects_m_and_p(self):
         seed = seed_by_name("geom", 3)

@@ -10,20 +10,16 @@ from hypothesis import strategies as st
 from sproutsym.errors import ConsistencyError, PrecisionError
 from sproutsym.seeds import euler_numbers
 from sproutsym.series import (
-    PolySeries,
     Series,
     decimate,
     dump_seed_series,
     exp_series,
-    hook_ratio,
     inverse,
     load_seed_series,
     log_series,
     mul,
     negate_arg,
     poly_div_one_plus_u,
-    poly_eval,
-    poly_mul,
     power,
     rat_str,
 )
@@ -165,51 +161,15 @@ class TestNegateDecimate:
             decimate(f, 0)
 
 
-class TestHookRatio:
-    def test_one_plus_t(self):
-        ps = hook_ratio(Series([1, 1, 0, 0]))
-        assert ps.coeff(0) == (Fraction(1),)
-        assert ps.coeff(1) == (Fraction(1), Fraction(1))  # 1 + u
-
-    def test_sec(self):
-        ps = hook_ratio(sec_sqrt(3))
-        assert ps.coeff(1) == (Fraction(1, 2), Fraction(1, 2))  # (1+u)/2
-
-    def test_divisibility_for_every_catalog_seed(self):
-        from sproutsym.seeds import seed_by_name
-
-        specs = ["one_plus_t", "geom", "qfn", "exp", "subset_exp(1,2)",
-                 "secsqrt", "l_genus", "ahat"]
-        for spec in specs:
-            ps = hook_ratio(seed_by_name(spec, 10).a)
-            for n in range(1, 11):
-                q = poly_div_one_plus_u(ps.coeff(n))  # raises if not divisible
-                assert poly_eval(q, 1) * 2 == poly_eval(ps.coeff(n), 1)
-
-    def test_constant_term_guard(self):
-        with pytest.raises(ValueError):
-            hook_ratio(Series([0, 1]))
-
-    def test_precision_guard(self):
-        ps = hook_ratio(Series([1, 1]))
-        with pytest.raises(PrecisionError):
-            ps.coeff(2)
-
-
 class TestPolyHelpers:
     def test_div_one_plus_u_exact(self):
-        # (1+u)(3 - u + 2u^2) recovered exactly
-        product = poly_mul((Fraction(1), Fraction(1)), (Fraction(3), Fraction(-1), Fraction(2)))
+        # (1+u)(3 - u + 2u^2) = 3 + 2u + u^2 + 2u^3, recovered exactly
+        product = (Fraction(3), Fraction(2), Fraction(1), Fraction(2))
         assert poly_div_one_plus_u(product) == (Fraction(3), Fraction(-1), Fraction(2))
 
     def test_div_one_plus_u_rejects_nondivisible(self):
         with pytest.raises(ConsistencyError):
             poly_div_one_plus_u((Fraction(1), Fraction(0), Fraction(1)))
-
-    def test_polyseries_validation(self):
-        ps = PolySeries([(Fraction(1),), (Fraction(0), Fraction(2))])
-        assert ps.precision == 1
-        assert ps.coeff(1) == (Fraction(0), Fraction(2))
 
 
 class TestSeedFiles:

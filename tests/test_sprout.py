@@ -2,13 +2,17 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sproutsym.errors import PrecisionError
+import sproutsym.sprout as sprout
+from sproutsym.errors import ConsistencyError, PrecisionError
 from sproutsym.partitions import EMPTY, Partition, enumerate_partitions
 from sproutsym.seeds import euler_numbers, seed_by_name
 from sproutsym.series import Series, exp_series, inverse, negate_arg
 from sproutsym.sprout import (
     Seed,
+    _hook_numerator,
     decimate_seed,
     expansion_in,
     kronecker_hom_check,
@@ -270,9 +274,63 @@ class TestSpecials:
         one_plus_t = seed_by_name("one_plus_t", 4)
         assert special_hooks(one_plus_t, 2) == (Fraction(0), Fraction(1))
 
+    def test_hook_numerator_one_plus_t(self):
+        seed = seed_by_name("one_plus_t", 3)
+        assert _hook_numerator(seed, 0) == (Fraction(1),)
+        assert _hook_numerator(seed, 1) == (Fraction(1), Fraction(1))  # 1 + u
+
+    def test_hook_numerator_secsqrt(self):
+        seed = seed_by_name("secsqrt", 3)
+        assert _hook_numerator(seed, 1) == (Fraction(1, 2), Fraction(1, 2))  # (1+u)/2
+
+    def test_hooks_constant_term_guard(self):
+        with pytest.raises(ValueError):
+            special_hooks(Seed(Series([0, 1])), 1)
+
+    def test_hooks_precision_guard(self):
+        with pytest.raises(PrecisionError):
+            special_hooks(Seed(Series([1, 1])), 2)
+
+    def test_hooks_raise_when_either_side_is_tampered(self, monkeypatch):
+        seed = seed_by_name("secsqrt", 4)
+        real_schur, real_numerator = sprout.schur_coeff, sprout._hook_numerator
+        with monkeypatch.context() as m:
+            m.setattr(
+                sprout, "schur_coeff",
+                lambda s, lam: real_schur(s, lam) + (lam == Partition((2, 1, 1))),
+            )
+            with pytest.raises(ConsistencyError):
+                special_hooks(seed, 4)
+        with monkeypatch.context() as m:
+            # still divisible by 1 + u, so only the cross-check can catch it
+            m.setattr(
+                sprout, "_hook_numerator",
+                lambda s, n: tuple(2 * c for c in real_numerator(s, n)),
+            )
+            with pytest.raises(ConsistencyError):
+                special_hooks(seed, 4)
+        special_hooks(seed, 4)  # both sides restored: no error
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        tail=st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=8,
+            max_size=8,
+        ),
+        n=st.integers(1, 8),
+    )
+    def test_hooks_divide_for_random_seeds(self, tail, n):
+        seed = Seed(Series([1, *tail]))
+        special_hooks(seed, n)  # raises ConsistencyError on any disagreement
+        numerator = _hook_numerator(seed, n)
+        assert len(numerator) <= n + 1
+        # F(t)/F(t) = 1, so P_n(-1) = 0
+        assert sum(c * (-1) ** j for j, c in enumerate(numerator)) == 0
+
     def test_hooks_match_schur_for_catalog(self):
-        for seed in catalog(8):
-            for n in range(1, 9):
+        for seed in catalog(10):
+            for n in range(1, 11):
                 poly = special_hooks(seed, n)
                 for k in range(n):
                     want = schur_coeff(seed, Partition((n - k,) + (1,) * k))
