@@ -213,6 +213,8 @@ def cmd_special(args) -> int:
         else:
             print(_series_text(series))
 
+    if args.op == "hk" and args.k < 1:
+        raise ValueError(f"argument --k: must be at least 1 for --op hk, got {args.k}")
     spec = parse_seed_spec(args.seed)
     if args.op == "sn":
         series = special_sn(seed_by_name(spec, args.nmax), args.nmax)

@@ -31,7 +31,7 @@ _UIO_BUDGET = 5
 # Alternating permutations.
 
 
-def _check_alt_budget(length: int) -> None:
+def check_alt_budget(length: int) -> None:
     if length > _ALT_BUDGET:
         raise BudgetError(
             f"enumerating permutations of length {length} exceeds the budget of {_ALT_BUDGET}"
@@ -85,7 +85,7 @@ def _walk_blocks(length: int, block_starts: frozenset, visit) -> None:
 
 def alternating_permutations(k: int):
     """All down-up alternating permutations of [k], lexicographically."""
-    _check_alt_budget(k)
+    check_alt_budget(k)
     out: list[tuple] = []
     _walk_blocks(k, frozenset({0}), lambda w: out.append(tuple(w)))
     return out
@@ -93,7 +93,7 @@ def alternating_permutations(k: int):
 
 def alternating_count(k: int) -> int:
     """Number of down-up alternating permutations of [k] (equals E_k)."""
-    _check_alt_budget(k)
+    check_alt_budget(k)
     count = 0
 
     def bump(_word) -> None:
@@ -139,7 +139,7 @@ def rp_histogram(n: int) -> dict[Partition, int]:
     """Bin all alternating permutations of [2n] by record partition."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_alt_budget(2 * n)
+    check_alt_budget(2 * n)
     counts: dict[tuple, int] = {}
 
     def bucket(word) -> None:
@@ -154,7 +154,7 @@ def piecewise_alt_count(lam) -> int:
     """Count permutations of [2n] alternating on consecutive blocks 2*lam_i."""
     lam = Partition(lam)
     length = 2 * lam.n
-    _check_alt_budget(length)
+    check_alt_budget(length)
     starts = set()
     offset = 0
     for part in lam:
@@ -175,7 +175,7 @@ def cyclically_alternating_count(n: int) -> int:
     """Alternating permutations of [2n] whose last entry is below the first."""
     if n < 1:
         raise ValueError("n must be positive")
-    _check_alt_budget(2 * n)
+    check_alt_budget(2 * n)
     count = 0
 
     def bump(word) -> None:
@@ -235,16 +235,20 @@ def rho_shape(lam) -> SkewShape:
     return SkewShape(outer, inner)
 
 
+def check_syt_det_budget(cells: int) -> None:
+    if cells > _SYT_DET_BUDGET:
+        raise BudgetError(
+            f"{cells} cells exceed the determinant budget of {_SYT_DET_BUDGET}"
+        )
+
+
 def syt_count_det(shape: SkewShape) -> int:
     """Standard tableau count via the factorial determinant formula.
 
     cells! * det[1 / (outer_i - inner_j - i + j)!], with 1/k! read as 0
     when k is negative.
     """
-    if shape.cells > _SYT_DET_BUDGET:
-        raise BudgetError(
-            f"{shape.cells} cells exceed the determinant budget of {_SYT_DET_BUDGET}"
-        )
+    check_syt_det_budget(shape.cells)
     ell = len(shape.outer)
     if ell == 0:
         return 1
@@ -431,14 +435,18 @@ def chromatic_sym(graph: Graph, degree: int) -> SymFunc:
     return SymFunc(Basis.M, degree, terms)
 
 
+def check_uio_budget(n: int) -> None:
+    if n > _UIO_BUDGET:
+        raise BudgetError(f"n={n} exceeds the interval-order budget of {_UIO_BUDGET}")
+
+
 def uio_sum(n: int) -> SymFunc:
     """Sum of omega of the chromatic symmetric functions over all matchings.
 
     Returned in the monomial basis; equals (2n)! times the sec(sqrt(t))
     sprout function of degree n.
     """
-    if n > _UIO_BUDGET:
-        raise BudgetError(f"n={n} exceeds the interval-order budget of {_UIO_BUDGET}")
+    check_uio_budget(n)
     total = zero(Basis.P, n)
     for matching in matchings(n):
         graph = IntervalOrder.from_matching(matching).incomparability_graph()

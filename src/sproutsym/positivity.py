@@ -29,6 +29,7 @@ from .linalg import det_int_bareiss
 from .partitions import enumerate_partitions
 from .series import rat_str
 from .sprout import Seed, decimate_seed, sprout_m
+from .sprout import toeplitz_minor  # re-exported, the single-minor entry point
 from .symfunc import Basis, convert
 
 DEFAULT_MINOR_BUDGET = 3_000_000
@@ -87,17 +88,6 @@ class PositivityReport:
             "passed": self.passed,
             "e_precheck_first_fail": self.e_precheck_first_fail,
         }
-
-
-def toeplitz_minor(seed: Seed, rows, cols) -> Fraction:
-    """One exact minor of the seed's Toeplitz matrix [a_{j-i}]."""
-    rows, cols = tuple(rows), tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    matrix = [[seed.a_coeff(j - i) for j in cols] for i in rows]
-    scale = lcm(*(x.denominator for row in matrix for x in row), 1)
-    det = det_int_bareiss([[int(x * scale) for x in row] for row in matrix])
-    return Fraction(det, scale ** len(rows))
 
 
 def _minor_count(max_order: int, max_degree: int) -> int:

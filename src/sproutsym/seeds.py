@@ -152,6 +152,20 @@ CATALOG: list[tuple[str, str]] = [
 ]
 
 
+# Catalog seeds without parameters: name -> series builder at a precision.
+_PLAIN_SEEDS = {
+    "one_plus_t": lambda precision: Series([int(n <= 1) for n in range(precision + 1)]),
+    "geom": lambda precision: Series([1] * (precision + 1)),
+    "qfn": lambda precision: Series([1] + [2] * precision),
+    "exp": lambda precision: Series(
+        [Fraction(1, factorial(n)) for n in range(precision + 1)]
+    ),
+    "secsqrt": _sec_sqrt_series,
+    "l_genus": _l_genus_series,
+    "ahat": _ahat_series,
+}
+
+
 def seed_by_name(spec, precision: int) -> Seed:
     """Build a catalog seed at the requested truncation order."""
     if isinstance(spec, str):
@@ -159,31 +173,13 @@ def seed_by_name(spec, precision: int) -> Seed:
     if precision < 0:
         raise ValueError("precision must be nonnegative")
     name, params = spec.name, spec.params
-    if name == "one_plus_t":
-        coeffs = [Fraction(1)] + [Fraction(0)] * precision
-        if precision >= 1:
-            coeffs[1] = Fraction(1)
-        return Seed(Series(coeffs), name=name)
-    if name == "geom":
-        return Seed(Series([Fraction(1)] * (precision + 1)), name=name)
-    if name == "qfn":
-        return Seed(
-            Series([Fraction(1)] + [Fraction(2)] * precision), name=name
-        )
-    if name == "exp":
-        return Seed(
-            Series([Fraction(1, factorial(n)) for n in range(precision + 1)]),
-            name=name,
-        )
+    if name in _PLAIN_SEEDS:
+        if params:
+            raise ValueError(f"seed {name!r} takes no parameters")
+        return Seed(_PLAIN_SEEDS[name](precision), name=name)
     if name == "subset_exp":
         label = f"subset_exp({','.join(str(j) for j in sorted(set(params)))})"
         return Seed(_subset_exp_series(params, precision), name=label)
-    if name == "secsqrt":
-        return Seed(_sec_sqrt_series(precision), name=name)
-    if name == "l_genus":
-        return Seed(_l_genus_series(precision), name=name)
-    if name == "ahat":
-        return Seed(_ahat_series(precision), name=name)
     if name == "file":
         if len(params) != 1:
             raise ValueError("file seed needs exactly one path")

@@ -118,20 +118,23 @@ def sprout_p(seed: Seed, n: int) -> SymFunc:
     return SymFunc(Basis.P, n, terms)
 
 
+def toeplitz_minor(seed: Seed, rows, cols) -> Fraction:
+    """One exact minor of [a_{j-i}], by Bareiss on the lcm-scaled integer entries."""
+    rows, cols = tuple(rows), tuple(cols)
+    if len(rows) != len(cols):
+        raise ValueError("minor needs equally many rows and columns")
+    matrix = [[seed.a_coeff(j - i) for j in cols] for i in rows]
+    scale = lcm(*(x.denominator for row in matrix for x in row), 1)
+    det = det_int_bareiss([[int(x * scale) for x in row] for row in matrix])
+    return Fraction(det, scale ** len(rows))
+
+
 def schur_coeff(seed: Seed, lam) -> Fraction:
-    """<R_n, s_lam> as the determinant det[a_{lam_i - i + j}]."""
+    """<R_n, s_lam> = det[a_{lam_i - i + j}], the Toeplitz minor with rows i - lam_i."""
     lam = Partition(lam)
     _check_degree(seed, lam.n)
-    ell = len(lam)
-    if ell == 0:
-        return Fraction(1)
-    rows = [
-        [seed.a_coeff(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
-        for i in range(ell)
-    ]
-    scale = lcm(*(x.denominator for row in rows for x in row), 1)
-    det = det_int_bareiss([[int(x * scale) for x in row] for row in rows])
-    return Fraction(det, scale**ell)
+    rows = [i - part for i, part in enumerate(lam)]
+    return toeplitz_minor(seed, rows, range(len(lam)))
 
 
 def phi_hom(seed: Seed, f: SymFunc) -> Fraction:

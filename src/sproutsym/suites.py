@@ -2,6 +2,8 @@
 
 Each suite yields (name, thunk) pairs; a thunk returns (ok, detail).
 The runner calls the thunks one after another, in declaration order.
+A suite backed by a budgeted oracle checks that budget at nmax on its
+first step, so an oversized run fails before any check runs.
 """
 
 from dataclasses import dataclass
@@ -9,6 +11,9 @@ from fractions import Fraction
 from math import factorial
 
 from .oracles import (
+    check_alt_budget,
+    check_syt_det_budget,
+    check_uio_budget,
     cyclically_alternating_count,
     piecewise_alt_count,
     rho_shape,
@@ -79,6 +84,7 @@ def _eq(got, want):
 
 def suite_rp(nmax: int):
     """Record-partition histogram against the phi statistic."""
+    check_alt_budget(2 * nmax)
     for n in range(1, nmax + 1):
         def check(n=n):
             hist = rp_histogram(n)
@@ -94,6 +100,7 @@ def suite_rp(nmax: int):
 
 def suite_m_expansion(nmax: int):
     """Piecewise-alternating counts vs the multinomial formula vs the seed."""
+    check_alt_budget(2 * nmax)
     for n in range(1, nmax + 1):
         seed = seed_by_name("secsqrt", n)
         euler = euler_numbers(2 * n)
@@ -114,6 +121,7 @@ def suite_m_expansion(nmax: int):
 
 def suite_schur_skew(nmax: int, brute_nmax: int = 4):
     """Schur coefficients of the sec(sqrt(t)) sequence vs skew tableau counts."""
+    check_syt_det_budget(2 * nmax)  # rho_shape(lam) has 2n cells
     seed = seed_by_name("secsqrt", nmax)
     for n in range(1, nmax + 1):
         for lam in enumerate_partitions(n):
@@ -132,6 +140,7 @@ def suite_schur_skew(nmax: int, brute_nmax: int = 4):
 
 def suite_uio(nmax: int):
     """Interval-order chromatic sums against the sec(sqrt(t)) sequence."""
+    check_uio_budget(nmax)
     seed = seed_by_name("secsqrt", nmax)
     for n in range(1, nmax + 1):
         def check(n=n):

@@ -1,23 +1,22 @@
 """Symmetric functions of fixed homogeneous degree in the m, p, e, h, s bases.
 
-Conversion strategy: the power-sum basis P is the single pivot, and the
-tables it needs have integer entries except for h -> p.
+The power-sum basis P is the pivot.  Three cached tables hold integer
+rows, each read forward as a linear combination of rows and backward by
+one Hall pairing (``_pairings``) of a vector with every row:
 
-* p -> m expands products of power sums in the monomial basis directly.
-* p -> h uses Newton's identity p_n = n h_n - sum_{i<n} h_{n-i} p_i,
-  and p_lam is the h-product of its parts (Macdonald I.2).
-* m -> p reads the same table by Hall duality: <m_mu, p_rho> is
-  [h_mu] p_rho, so [p_rho] f = sum_mu [h_mu]p_rho * [m_mu] f / z_rho.
-* h -> p uses h_n = sum_rho p_rho / z_rho (Macdonald I.4).
-* s -> h uses the Jacobi-Trudi determinant det[h_{lam_i - i + j}],
-  expanded symbolically over its nonzero structure.
+* p_rho in m, by multiplying out power sums: p -> m forward, and h -> p
+  backward, since [p_rho] h_mu = [m_mu] p_rho / z_rho (Macdonald I.4).
+* p_rho in h, by Newton's identity p_n = n h_n - sum_{i<n} h_{n-i} p_i
+  (Macdonald I.2): p -> h forward, and m -> p backward, since
+  <m_mu, p_rho> = [h_mu] p_rho.
+* s_lam in h, by the Jacobi-Trudi determinant det[h_{lam_i - i + j}]:
+  s -> h forward, and m -> s backward, since <m_nu, s_lam> = [h_nu] s_lam,
+  so an input in m needs no pivot.
 * e rides the omega involution: p_rho -> (-1)**(|rho| - len(rho)) p_rho
   sends h_lam to e_lam.
-* Extraction into S is from the m-vector: [s_lam] f = <f, s_lam> =
-  sum_nu [h_nu]s_lam * [m_nu] f, so an input in m needs no pivot.
 
-All transition tables are per-partition, write-once caches; every value
-in them is exact, so round trips are exact equalities, not approximations.
+Table values are ints and coefficients Fractions, so round trips are
+exact equalities, not approximations.
 """
 
 from enum import Enum
@@ -212,15 +211,6 @@ def _p_in_h(lam: Partition) -> dict:
     return _lincomb([({lam: n}, 1), *lower])
 
 
-@cache
-def _h_in_p(lam: Partition) -> dict:
-    """Expansion of h_lam in the power-sum basis: h_n = sum_{rho |- n} p_rho / z_rho."""
-    if not lam:
-        return {EMPTY: Fraction(1)}
-    head = {rho: Fraction(1, z_of(rho)) for rho in enumerate_partitions(lam[0])}
-    return _union_product(head, _h_in_p(Partition(lam[1:])))
-
-
 def _omega_signs(vec: dict) -> dict:
     """omega on power-sum coefficients: p_rho -> (-1)**(|rho| - len(rho)) p_rho."""
     return {rho: -c if (rho.n - len(rho)) % 2 else c for rho, c in vec.items()}
@@ -270,37 +260,35 @@ def _s_in_h(lam: Partition) -> dict:
     return {Partition(parts): c for parts, c in top.items() if c != 0}
 
 
+def _pairings(table, vec: dict, degree: int) -> dict:
+    """<f, X_key> = sum_mu vec[mu] * table(key)[mu] for each key |- degree.
+
+    table(key) expands X_key in a basis, vec holds f in the dual basis
+    (m and h are dual), and zero pairings are dropped.
+    """
+    out = {}
+    for key in enumerate_partitions(degree):
+        row = table(key)
+        acc = sum(c * row[mu] for mu, c in vec.items() if mu in row)
+        if acc:
+            out[key] = acc
+    return out
+
+
 def _to_p_terms(f: SymFunc) -> dict:
-    """Coefficient dict of f in the power-sum basis."""
+    """Coefficient dict of f in the power-sum basis: <f, p_rho> / z_rho.
+
+    The pairing reads p_rho in h for an m-vector and p_rho in m for an
+    h-vector; e goes through omega and s through its h-expansion.
+    """
     if f.basis is Basis.P:
         return dict(f.terms)
-    if f.basis is Basis.M:
-        # Hall duality: [p_rho] f = <f, p_rho> / z_rho, <m_mu, p_rho> = [h_mu] p_rho.
-        pvec = {}
-        for rho in enumerate_partitions(f.degree):
-            row = _p_in_h(rho)
-            acc = sum((c * row[mu] for mu, c in f.terms.items() if mu in row), Fraction(0))
-            if acc:
-                pvec[rho] = acc / z_of(rho)
-        return pvec
-    hvec = f.terms
+    vec = f.terms
     if f.basis is Basis.S:
-        hvec = _lincomb((_s_in_h(lam), c) for lam, c in hvec.items())
-    pvec = _lincomb((_h_in_p(mu), c) for mu, c in hvec.items())
+        vec = _lincomb((_s_in_h(lam), c) for lam, c in vec.items())
+    table = _p_in_h if f.basis is Basis.M else _p_in_m
+    pvec = {rho: c / z_of(rho) for rho, c in _pairings(table, vec, f.degree).items()}
     return _omega_signs(pvec) if f.basis is Basis.E else pvec
-
-
-def _m_to_s(mvec: dict, degree: int) -> dict:
-    """Schur coefficients from monomial ones.
-
-    [s_mu] f = <f, s_mu> = sum_nu [h_nu]s_mu * [m_nu] f, by self-duality
-    of s and Hall duality of m and h, with integer Jacobi-Trudi rows.
-    """
-    return {
-        mu: coeff
-        for mu in enumerate_partitions(degree)
-        if (coeff := sum(c * mvec.get(nu, 0) for nu, c in _s_in_h(mu).items())) != 0
-    }
 
 
 def _from_p_terms(pvec: dict, degree: int, target: Basis) -> dict:
@@ -311,7 +299,7 @@ def _from_p_terms(pvec: dict, degree: int, target: Basis) -> dict:
     if target in (Basis.H, Basis.E):
         return _lincomb((_p_in_h(rho), c) for rho, c in pvec.items())
     mvec = _lincomb((_p_in_m(rho), c) for rho, c in pvec.items())
-    return mvec if target is Basis.M else _m_to_s(mvec, degree)
+    return mvec if target is Basis.M else _pairings(_s_in_h, mvec, degree)
 
 
 def convert(f: SymFunc, target: Basis) -> SymFunc:
@@ -319,7 +307,7 @@ def convert(f: SymFunc, target: Basis) -> SymFunc:
     if f.basis is target:
         return f
     if f.basis is Basis.M and target is Basis.S:
-        return SymFunc(target, f.degree, _m_to_s(f.terms, f.degree))
+        return SymFunc(target, f.degree, _pairings(_s_in_h, f.terms, f.degree))
     return SymFunc(target, f.degree, _from_p_terms(_to_p_terms(f), f.degree, target))
 
 

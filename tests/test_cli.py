@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sproutsym import oracles
 from sproutsym.cli import run
 from sproutsym.seeds import seed_by_name
 from sproutsym.series import dump_seed_series
@@ -266,6 +267,22 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("suite", ["m-expansion", "rp"])
+    def test_suite_budget_checked_before_any_walk(self, capsys, monkeypatch, suite):
+        walks = []
+        real_walk = oracles._walk_blocks
+
+        def counting_walk(*args):
+            walks.append(args[0])
+            return real_walk(*args)
+
+        monkeypatch.setattr(oracles, "_walk_blocks", counting_walk)
+        code, out, err = invoke(capsys, "verify", "--suite", suite, "--nmax", "7")
+        assert code == 3
+        assert out == ""
+        assert "length 14 exceeds the budget of 12" in err
+        assert walks == []
+
     def test_precision_error_from_file(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(dump_seed_series(seed_by_name("geom", 2).a))
@@ -283,6 +300,7 @@ FLAG_ROWS = [
     (("special", "--seed", "geom", "--op", "hpair", "--j", "-1"), "--j"),
     (("special", "--seed", "geom", "--op", "sn", "--nmax", "-1"), "--nmax"),
     (("special", "--seed", "geom", "--op", "ones", "--k", "-1"), "--k"),
+    (("special", "--seed", "geom", "--op", "hk", "--k", "0"), "--k"),
 ]
 
 
@@ -311,6 +329,7 @@ class TestInputContract:
             ("positivity", "--seed", "geom", "--minor-order", "2", "--degree", "3",
              "--basis", "s", "--nmax", "-2"),
             *(argv for argv, _ in FLAG_ROWS),
+            ("expand", "--seed", "geom(2)", "--n", "2", "--basis", "m"),
         ],
     )
     def test_rejected_before_output(self, capsys, argv):

@@ -17,7 +17,7 @@ from sproutsym.positivity import (
     toeplitz_minors,
 )
 from sproutsym.seeds import seed_by_name
-from sproutsym.series import Series, exp_series, mul
+from sproutsym.series import Series, exp_series, inverse, mul
 from sproutsym.sprout import Seed, schur_coeff, sprout_m
 from sproutsym.symfunc import Basis, convert
 
@@ -26,6 +26,17 @@ def witness_seed(precision):
     """The sequence 1, 0, 1, 0, ...; fails total nonnegativity at order 2."""
     return Seed(Series([1 if n % 2 == 0 else 0 for n in range(precision + 1)]),
                 name="witness")
+
+
+def edrei_thoma_seed(alphas, betas, gamma, degree):
+    """e^(gamma t) prod(1 + beta_i t) / prod(1 - alpha_i t), exact to t^degree."""
+    zeros = [0] * (degree - 1)
+    f = exp_series(Series([0, gamma, *zeros]))
+    for beta in betas:
+        f = mul(f, Series([1, beta, *zeros]))
+    for alpha in alphas:
+        f = mul(f, inverse(Series([1, -alpha, *zeros])))
+    return Seed(f)
 
 
 def brute_violations(seed, max_order, max_degree, step=1):
@@ -253,11 +264,9 @@ class TestExpansionPositivity:
     )
     def test_e_precheck_never_fires_without_alpha(self, betas, gamma, n_max):
         # e^(gamma t) prod(1 + beta_i t): every R_n is e-positive (dual Cauchy)
-        zeros = [0] * (n_max - 1)
-        f = exp_series(Series([0, gamma, *zeros]))
-        for beta in betas:
-            f = mul(f, Series([1, beta, *zeros]))
-        report = expansion_positivity(Seed(f), n_max, Basis.E)
+        report = expansion_positivity(
+            edrei_thoma_seed([], betas, gamma, n_max), n_max, Basis.E
+        )
         assert report.e_precheck_first_fail is None
         assert report.passed
 
@@ -282,6 +291,52 @@ class TestExpansionPositivity:
             "partition": [2],
             "coeff": "-1/1",
         }
+
+
+NONNEGATIVE = st.fractions(min_value=0, max_value=5, max_denominator=6)
+
+
+class TestEdreiThoma:
+    """Seeds e^(gamma t) prod(1 + beta_i t) / prod(1 - alpha_i t).
+
+    With every parameter nonnegative the Toeplitz matrix is totally
+    nonnegative (Aissen-Schoenberg-Whitney, Edrei), so every minor and
+    every Schur coefficient is nonnegative; with no beta every R_n is
+    h-positive by the Cauchy identity.
+    """
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        alphas=st.lists(NONNEGATIVE, max_size=3),
+        betas=st.lists(NONNEGATIVE, max_size=3),
+        gamma=NONNEGATIVE,
+        degree=st.integers(1, 8),
+    )
+    def test_nonnegative_parameters_pass_minors_and_s(self, alphas, betas, gamma, degree):
+        seed = edrei_thoma_seed(alphas, betas, gamma, degree)
+        assert toeplitz_minors(seed, 3, degree).passed
+        assert expansion_positivity(seed, degree, Basis.S).passed
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        alphas=st.lists(NONNEGATIVE, max_size=3),
+        gamma=NONNEGATIVE,
+        degree=st.integers(1, 8),
+    )
+    def test_no_beta_passes_h(self, alphas, gamma, degree):
+        seed = edrei_thoma_seed(alphas, [], gamma, degree)
+        assert expansion_positivity(seed, degree, Basis.H).passed
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        alpha=st.fractions(min_value=-5, max_value=0, max_denominator=6).filter(bool),
+        degree=st.integers(1, 8),
+    )
+    def test_one_negative_alpha_breaks_order_one(self, alpha, degree):
+        # 1/(1 - alpha t) has a_1 = alpha < 0, the 1x1 minor at (0, 1)
+        report = toeplitz_minors(edrei_thoma_seed([alpha], [], 0, degree), 1, degree)
+        assert not report.passed
+        assert report.violations[0] == ((0,), (1,), alpha)
 
 
 class TestDecimation:

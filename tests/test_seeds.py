@@ -149,3 +149,6 @@ class TestParseSpec:
             parse_seed_spec("subset_exp(a,b)")
         with pytest.raises(ValueError):
             seed_by_name("subset_exp(0)", 3)
+        for spec in ("geom(2)", "exp(1,2)", "secsqrt(3)", "one_plus_t(1)"):
+            with pytest.raises(ValueError, match="takes no parameters"):
+                seed_by_name(spec, 3)

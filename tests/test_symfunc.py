@@ -149,13 +149,18 @@ class TestTransitionTables:
         assert symfunc._p_in_h(Partition((3,))) == p3
         assert convert(basis_element(Basis.P, (3,)), Basis.H).terms == p3
 
-    def test_p_in_h_inverts_h_in_p(self):
+    def test_h_to_p_inverts_p_in_h(self):
+        # h -> p pairs with the rows of _p_in_m, so this ties the two tables
         for n in range(11):
             for rho in enumerate_partitions(n):
-                back = symfunc._lincomb(
-                    (symfunc._h_in_p(mu), c) for mu, c in symfunc._p_in_h(rho).items()
-                )
-                assert back == {rho: 1}
+                hvec = SymFunc(Basis.H, n, symfunc._p_in_h(rho))
+                assert symfunc._to_p_terms(hvec) == {rho: 1}
+
+    def test_tables_hold_only_ints(self):
+        for n in range(11):
+            for lam in enumerate_partitions(n):
+                for table in (symfunc._p_in_m, symfunc._p_in_h, symfunc._s_in_h):
+                    assert all(type(c) is int for c in table(lam).values())
 
     def test_sprout_round_trips_through_every_basis(self):
         for n in range(11):
