@@ -8,24 +8,26 @@ skew Schur coefficient of some R_n, so a negative minor certifies a
 Schur-negative expansion and vice versa within the scanned window.
 
 Minors are evaluated fraction-free: the coefficient window is scaled by
-the lcm of its denominators into an integer matrix, minors run through
-Bareiss elimination in exact integers, and reported values are scaled
-back down.  The sweep uses the structure of [a_(j-i)]: a minor with
-rows[k] > cols[k] for some k is zero and is skipped, and a minor does
-not change when rows and cols shift together, so Bareiss runs once per
-shift class.  Each negative class is re-expanded into all its shifts and
-the violations are sorted, so the report lists every negative (rows,
-cols) in the same order as a sweep over all pairs would.
+the lcm of its denominators into integers, and reported values are
+scaled back down.  The sweep uses the structure of [a_(j-i)]: a minor
+with rows[k] > cols[k] for some k is zero and is skipped, and a minor
+does not change when rows and cols shift together, so it is evaluated
+once per shift class.  Order k is built from order k - 1 by a cofactor
+expansion along the last column, which reads the previous order's
+nonzero classes and costs one k-term dot product per class.  Each
+negative class is then re-emitted shift by shift, so the report lists
+every negative (rows, cols) in the same order as a sweep over all pairs
+would.  A single minor (``toeplitz_minor``) still runs through Bareiss
+elimination, which keeps the sweep and a minor-by-minor check
+independent computations.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from operator import itemgetter
 
 from .errors import BudgetError, PrecisionError
-from .linalg import det_int_bareiss
 from .partitions import enumerate_partitions
 from .series import rat_str
 from .sprout import Seed, decimate_seed, sprout_m
@@ -97,28 +99,6 @@ def _minor_count(max_order: int, max_degree: int) -> int:
     )
 
 
-def _shift_classes(size: int, order: int):
-    """One (rows, cols) per shift class of the possibly nonzero minors.
-
-    The representative of a class has rows[0] = 0.  Its cols are built
-    entry by entry with cols[k] >= rows[k], since any other minor has an
-    all-zero lower-left block, and each entry stops where the later ones
-    still fit below size.
-    """
-    for rest in combinations(range(1, size), order - 1):
-        rows = (0, *rest)
-        partial = [(j,) for j in range(size - order + 1)]
-        for k in range(1, order):
-            low, stop = rows[k], size - order + 1 + k
-            partial = [
-                cols + (j,)
-                for cols in partial
-                for j in range(max(low, cols[-1] + 1), stop)
-            ]
-        for cols in partial:
-            yield rows, cols
-
-
 def toeplitz_minors(
     seed: Seed,
     max_order: int,
@@ -128,14 +108,21 @@ def toeplitz_minors(
     """Evaluate every minor with indices <= max_degree and order <= max_order.
 
     The matrix [a_(j-i)] is upper triangular, so a minor with
-    rows[k] > cols[k] for some k is zero and is skipped; and it depends
-    only on j - i, so shifting rows and cols together leaves a minor
-    unchanged.  Bareiss therefore runs once per shift class (the
-    representative with rows[0] = 0), and each negative class is
-    re-expanded into all its shifts.  Violations are sorted and reported
-    in (order, rows, cols) lexicographic order.  The budget counts the
-    full index set, skipped minors included, and is checked before any
-    work.  Exact arithmetic throughout.
+    rows[k] > cols[k] for some k is zero; and it depends only on j - i,
+    so shifting rows and cols together leaves a minor unchanged.  Each
+    shift class is evaluated once, at its representative with
+    rows[0] = 0, by expanding along the last column c:
+
+        det = sum_i (-1)^(i+k-1) a_(c-rows[i]) M(rows minus rows[i], cols[:-1])
+
+    where every cofactor M is a class of order k - 1, read from the
+    previous order's nonzero values with its first row shifted to 0 (a
+    missing key is a structural zero).  The cofactors depend only on
+    (rows, cols[:-1]), so every last column c costs one k-term dot
+    product.  Each negative class is then re-expanded shift by shift,
+    which lists violations in (order, rows, cols) lexicographic order.
+    The budget counts the full index set, skipped minors included, and is
+    checked before any work.  Exact arithmetic throughout.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
@@ -154,23 +141,56 @@ def toeplitz_minors(
     size = max_degree + 1
     scale = lcm(*(seed.a_coeff(k).denominator for k in range(size)), 1)
     entries = [int(seed.a_coeff(k) * scale) for k in range(size)]
-    toeplitz = [
-        [entries[j - i] if j >= i else 0 for j in range(size)] for i in range(size)
-    ]
+    top = min(max_order, size)
     violations = []
-    for order in range(1, min(max_order, size) + 1):
+    previous = {((), ()): 1}  # nonzero classes of the previous order
+    for order in range(1, top + 1):
         back = scale**order
-        found = []
-        for rows, cols in _shift_classes(size, order):
-            det = det_int_bareiss([[toeplitz[i][j] for j in cols] for i in rows])
-            if det < 0:
-                value = Fraction(det, back)
-                for s in range(size - cols[-1]):
-                    found.append(
-                        (tuple(i + s for i in rows), tuple(j + s for j in cols), value)
-                    )
-        found.sort(key=itemgetter(0, 1))
-        violations.extend(found)
+        signs = [(-1) ** (i + order - 1) for i in range(order)]
+        current = {}
+        negative = []
+        for rest in combinations(range(1, size), order - 1):
+            rows = (0, *rest)
+            # rows minus rows[i]: for i = 0 shifted (with its cols) down by
+            # the new first row, for i >= 1 already a representative
+            first = rest[0] if rest else 0
+            head = tuple(r - first for r in rest)
+            tails = [rows[:i] + rows[i + 1:] for i in range(1, order)]
+            prefixes = [()]
+            for k in range(order - 1):
+                stop = size - order + 1 + k
+                prefixes = [
+                    cols + (j,)
+                    for cols in prefixes
+                    for j in range(max(rows[k], cols[-1] + 1 if cols else 0), stop)
+                ]
+            for prefix in prefixes:
+                keys = [(head, tuple(j - first for j in prefix))]
+                keys += [(tail, prefix) for tail in tails]
+                terms = [
+                    (sign * sub, row)
+                    for key, sign, row in zip(keys, signs, rows)
+                    if (sub := previous.get(key))
+                ]
+                if not terms:
+                    continue
+                for c in range(max(rows[-1], prefix[-1] + 1 if prefix else 0), size):
+                    det = 0
+                    for cofactor, row in terms:
+                        det += cofactor * entries[c - row]
+                    if det:
+                        cols = prefix + (c,)
+                        if order < top:
+                            current[rows, cols] = det
+                        if det < 0:
+                            negative.append((rows, cols, Fraction(det, back)))
+        previous = current
+        for t in range(size):
+            violations.extend(
+                (tuple(i + t for i in rows), tuple(j + t for j in cols), value)
+                for rows, cols, value in negative
+                if cols[-1] + t < size
+            )
     return MinorReport(
         max_order=max_order,
         max_degree=max_degree,

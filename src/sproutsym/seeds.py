@@ -95,6 +95,8 @@ def parse_seed_spec(text: str) -> SeedSpec:
         if name == "file":
             return SeedSpec("file", (inner,))
         if not inner:
+            if name in _PLAIN_SEEDS:
+                raise ValueError(f"seed {name!r} takes no parameters")
             raise ValueError(f"seed {name!r} needs parameters")
         try:
             params = tuple(int(x) for x in inner.split(","))

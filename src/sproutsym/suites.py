@@ -155,6 +155,7 @@ def suite_h_specials(nmax: int, brute_nmax: int = 4):
     euler = euler_numbers(2 * nmax)
     e_prime = [0] + [k * euler[2 * k - 1] for k in range(1, nmax + 1)]
     ones_series = special_hk_series(seed, 1, nmax)
+    sum_series = special_sn(seed, nmax)
     for n in range(1, nmax + 1):
         def check_ones(n=n):
             return _eq(factorial(2 * n) * ones_series.coeff(n), 1)
@@ -162,9 +163,7 @@ def suite_h_specials(nmax: int, brute_nmax: int = 4):
         yield f"h-specials [h_1^n] n={n}", check_ones
 
         def check_sum(n=n):
-            return _eq(
-                factorial(2 * n) * special_sn(seed, nmax).coeff(n), euler[2 * n]
-            )
+            return _eq(factorial(2 * n) * sum_series.coeff(n), euler[2 * n])
 
         yield f"h-specials coefficient-sum n={n}", check_sum
 

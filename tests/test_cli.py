@@ -330,6 +330,7 @@ class TestInputContract:
              "--basis", "s", "--nmax", "-2"),
             *(argv for argv, _ in FLAG_ROWS),
             ("expand", "--seed", "geom(2)", "--n", "2", "--basis", "m"),
+            ("expand", "--seed", "geom()", "--n", "2", "--basis", "m"),
         ],
     )
     def test_rejected_before_output(self, capsys, argv):

@@ -152,6 +152,15 @@ class TestSweepMatchesBruteForce:
             total += len(report.violations)
         assert total > 0
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["l_genus", "ahat"])
+    def test_benchmark_heaviest_sweep(self, name):
+        # order 4 at degree 10: 139,271 minors, about 21,000 of them negative
+        seed = seed_by_name(name, 10)
+        report = toeplitz_minors(seed, 4, 10)
+        assert list(report.violations) == brute_violations(seed, 4, 10)
+        assert len(report.violations) > 20_000
+
     def test_budget_edge(self):
         seed = seed_by_name("geom", 7)
         for order, degree in ((1, 0), (2, 5), (3, 7)):
@@ -196,12 +205,20 @@ def skew_shapes(draw):
 
 class TestProperties:
     @settings(deadline=None, max_examples=60)
-    @given(coeffs=st.lists(COEFF, max_size=6), order=st.integers(1, 3))
+    @given(coeffs=st.lists(COEFF, max_size=6), order=st.integers(1, 4))
     def test_sweep_matches_brute_force(self, coeffs, order):
         seed = Seed(Series([1, *coeffs]))
         degree = len(coeffs)
         report = toeplitz_minors(seed, order, degree)
         assert list(report.violations) == brute_violations(seed, order, degree)
+
+    @settings(deadline=None, max_examples=40)
+    @given(coeffs=st.lists(COEFF, max_size=12), order=st.integers(1, 4))
+    def test_decimated_sweep_matches_brute_force(self, coeffs, order):
+        seed = Seed(Series([1, *coeffs]))
+        degree = len(coeffs) // 2
+        report = decimation_check(seed, 2, order, degree)
+        assert list(report.violations) == brute_violations(seed, order, degree, step=2)
 
     @settings(deadline=None, max_examples=60)
     @given(coeffs=st.lists(COEFF, min_size=8, max_size=8),
@@ -302,7 +319,8 @@ class TestEdreiThoma:
     With every parameter nonnegative the Toeplitz matrix is totally
     nonnegative (Aissen-Schoenberg-Whitney, Edrei), so every minor and
     every Schur coefficient is nonnegative; with no beta every R_n is
-    h-positive by the Cauchy identity.
+    h-positive by the Cauchy identity, and with no alpha e-positive by
+    the dual Cauchy identity.
     """
 
     @settings(deadline=None, max_examples=25)
@@ -314,7 +332,7 @@ class TestEdreiThoma:
     )
     def test_nonnegative_parameters_pass_minors_and_s(self, alphas, betas, gamma, degree):
         seed = edrei_thoma_seed(alphas, betas, gamma, degree)
-        assert toeplitz_minors(seed, 3, degree).passed
+        assert toeplitz_minors(seed, 4, degree).passed
         assert expansion_positivity(seed, degree, Basis.S).passed
 
     @settings(deadline=None, max_examples=25)
@@ -337,6 +355,26 @@ class TestEdreiThoma:
         report = toeplitz_minors(edrei_thoma_seed([alpha], [], 0, degree), 1, degree)
         assert not report.passed
         assert report.violations[0] == ((0,), (1,), alpha)
+
+    # The converse directions, on examples only: these seeds are totally
+    # nonnegative, yet a beta breaks h-positivity and an alpha breaks
+    # e-positivity.
+    MIXED = [
+        ([1, 2], [Fraction(1, 2)], Fraction(1, 3)),
+        ([Fraction(1, 3)], [2], 1),
+    ]
+
+    @pytest.mark.parametrize("alphas,betas,gamma", [([], [1], 0), *MIXED])
+    def test_beta_fails_h(self, alphas, betas, gamma):
+        seed = edrei_thoma_seed(alphas, betas, gamma, 6)
+        assert toeplitz_minors(seed, 4, 6).passed
+        assert not expansion_positivity(seed, 6, Basis.H).passed
+
+    @pytest.mark.parametrize("alphas,betas,gamma", [([1], [], 0), *MIXED])
+    def test_alpha_fails_e(self, alphas, betas, gamma):
+        seed = edrei_thoma_seed(alphas, betas, gamma, 6)
+        assert toeplitz_minors(seed, 4, 6).passed
+        assert not expansion_positivity(seed, 6, Basis.E).passed
 
 
 class TestDecimation:

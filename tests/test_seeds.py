@@ -149,6 +149,9 @@ class TestParseSpec:
             parse_seed_spec("subset_exp(a,b)")
         with pytest.raises(ValueError):
             seed_by_name("subset_exp(0)", 3)
-        for spec in ("geom(2)", "exp(1,2)", "secsqrt(3)", "one_plus_t(1)"):
+        for spec in ("geom(2)", "exp(1,2)", "secsqrt(3)", "one_plus_t(1)",
+                     "geom()", "exp()"):
             with pytest.raises(ValueError, match="takes no parameters"):
                 seed_by_name(spec, 3)
+        with pytest.raises(ValueError, match="seed 'subset_exp' needs parameters"):
+            parse_seed_spec("subset_exp()")
