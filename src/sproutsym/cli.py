@@ -69,23 +69,24 @@ def _display_order(f: SymFunc):
     return sorted(f.terms, key=lambda lam: (len(lam), tuple(lam)), reverse=True)
 
 
-def render_text(f: SymFunc) -> str:
+def _render_terms(f: SymFunc, body) -> str:
+    """Join body(lam, |c|) over the terms in display order, signs between."""
     pieces = []
-    for idx, lam in enumerate(_display_order(f)):
+    for lam in _display_order(f):
         c = f.terms[lam]
-        neg = c < 0
-        mag = -c if neg else c
-        if not lam:
-            body = rat_str(mag)
-        elif mag == 1:
-            body = f"{f.basis.value}[{','.join(str(p) for p in lam)}]"
-        else:
-            body = f"{rat_str(mag)}·{f.basis.value}[{','.join(str(p) for p in lam)}]"
-        if idx == 0:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
+        sign = ("- " if c < 0 else "+ ") if pieces else ("-" if c < 0 else "")
+        pieces.append(sign + body(lam, abs(c)))
     return " ".join(pieces) if pieces else "0"
+
+
+def render_text(f: SymFunc) -> str:
+    def body(lam, mag):
+        if not lam:
+            return rat_str(mag)
+        mono = f"{f.basis.value}[{','.join(str(p) for p in lam)}]"
+        return mono if mag == 1 else f"{rat_str(mag)}·{mono}"
+
+    return _render_terms(f, body)
 
 
 def _latex_monomial(basis: Basis, lam: Partition) -> str:
@@ -103,22 +104,15 @@ def _latex_monomial(basis: Basis, lam: Partition) -> str:
 
 
 def render_latex(f: SymFunc) -> str:
-    pieces = []
-    for idx, lam in enumerate(_display_order(f)):
-        c = f.terms[lam]
-        neg = c < 0
-        mag = -c if neg else c
+    def body(lam, mag):
         mono = _latex_monomial(f.basis, lam)
         if mag.denominator == 1:
             coeff = "" if (mag == 1 and lam) else str(mag.numerator)
         else:
             coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        body = f"{coeff} {mono}".strip() if coeff else mono
-        if idx == 0:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces) if pieces else "0"
+        return f"{coeff} {mono}".strip() if coeff else mono
+
+    return _render_terms(f, body)
 
 
 def _emit_json(obj) -> None:

@@ -12,6 +12,7 @@ whose left-to-right maxima define the record partition.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from .errors import BudgetError
@@ -91,17 +92,22 @@ def alternating_permutations(k: int):
     return out
 
 
-def alternating_count(k: int) -> int:
-    """Number of down-up alternating permutations of [k] (equals E_k)."""
-    check_alt_budget(k)
+def _count_walks(length: int, block_starts) -> int:
+    """Number of permutations ``_walk_blocks`` visits."""
     count = 0
 
     def bump(_word) -> None:
         nonlocal count
         count += 1
 
-    _walk_blocks(k, frozenset({0}), bump)
+    _walk_blocks(length, frozenset(block_starts), bump)
     return count
+
+
+def alternating_count(k: int) -> int:
+    """Number of down-up alternating permutations of [k] (equals E_k)."""
+    check_alt_budget(k)
+    return _count_walks(k, {0})
 
 
 def _record_gaps(w) -> tuple:
@@ -155,20 +161,7 @@ def piecewise_alt_count(lam) -> int:
     lam = Partition(lam)
     length = 2 * lam.n
     check_alt_budget(length)
-    starts = set()
-    offset = 0
-    for part in lam:
-        starts.add(offset)
-        offset += 2 * part
-    starts.add(0)
-    count = 0
-
-    def bump(_word) -> None:
-        nonlocal count
-        count += 1
-
-    _walk_blocks(length, frozenset(starts), bump)
-    return count
+    return _count_walks(length, accumulate((2 * part for part in lam[:-1]), initial=0))
 
 
 def cyclically_alternating_count(n: int) -> int:

@@ -1,17 +1,17 @@
 """Symmetric functions of fixed homogeneous degree in the m, p, e, h, s bases.
 
 The power-sum basis P is the pivot.  Three cached tables hold integer
-rows, each read forward as a linear combination of rows and backward by
-one Hall pairing (``_pairings``) of a vector with every row:
+rows, read forward as a linear combination of rows or backward by one
+Hall pairing (``_pairings``) of a vector with every row:
 
 * p_rho in m, by multiplying out power sums: p -> m forward, and h -> p
   backward, since [p_rho] h_mu = [m_mu] p_rho / z_rho (Macdonald I.4).
 * p_rho in h, by Newton's identity p_n = n h_n - sum_{i<n} h_{n-i} p_i
   (Macdonald I.2): p -> h forward, and m -> p backward, since
   <m_mu, p_rho> = [h_mu] p_rho.
-* s_lam in h, by the Jacobi-Trudi determinant det[h_{lam_i - i + j}]:
-  s -> h forward, and m -> s backward, since <m_nu, s_lam> = [h_nu] s_lam,
-  so an input in m needs no pivot.
+* h_mu in s, the Kostka numbers K_lam,mu, by Pieri's rule (Macdonald
+  I.5-I.6): s -> m backward, since [m_mu] s_lam = <s_lam, h_mu>, and
+  m -> s by a unitriangular solve, so s and m need no pivot.
 * e rides the omega involution: p_rho -> (-1)**(|rho| - len(rho)) p_rho
   sends h_lam to e_lam.
 
@@ -217,54 +217,41 @@ def _omega_signs(vec: dict) -> dict:
 
 
 @cache
-def _s_in_h(lam: Partition) -> dict:
-    """Jacobi-Trudi expansion of s_lam as an integer combination of h_mu.
+def _strips(lam: Partition, r: int) -> tuple:
+    """Partitions nu with nu / lam a horizontal strip of r boxes.
 
-    The determinant det[h_{lam_i - i + j}] is expanded by cofactors along
-    the top remaining row, skipping entries whose subscript is negative;
-    sub-determinants are memoized on (row, remaining-column mask), which
-    keeps long one-column-heavy shapes cheap.
+    One new box per column at most: lam_i <= nu_i <= lam_{i-1} in every
+    row, with row 0 unbounded above and one new row below lam.
     """
-    ell = len(lam)
-    if ell == 0:
+    rows = (*lam, 0)
+    states = [((), r)]
+    for row, top in zip(rows, (rows[0] + r, *lam)):
+        states = [
+            (nu + (row + k,), left - k)
+            for nu, left in states
+            for k in range(min(left, top - row) + 1)
+        ]
+    return tuple(Partition(p for p in nu if p) for nu, left in states if left == 0)
+
+
+@cache
+def _h_in_s(mu: Partition) -> dict:
+    """Expansion of h_mu in the Schur basis: {lam: K_lam,mu} (Kostka numbers).
+
+    Pieri's rule adds a horizontal strip of mu_1 boxes to every shape of
+    h_{mu_2, mu_3, ...}.
+    """
+    if not mu:
         return {EMPTY: 1}
-    memo: dict[tuple[int, int], dict] = {}
-
-    def minor(i: int, colmask: int) -> dict:
-        if i == ell:
-            return {(): 1}
-        key = (i, colmask)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out: dict[tuple, int] = {}
-        rel = 0
-        for j in range(ell):
-            if not (colmask >> j) & 1:
-                continue
-            sub = lam[i] - (i + 1) + (j + 1)
-            if sub >= 0:
-                sign = -1 if rel % 2 else 1
-                for parts, c in minor(i + 1, colmask & ~(1 << j)).items():
-                    grown = (
-                        parts
-                        if sub == 0
-                        else tuple(sorted(parts + (sub,), reverse=True))
-                    )
-                    out[grown] = out.get(grown, 0) + sign * c
-            rel += 1
-        memo[key] = out
-        return out
-
-    top = minor(0, (1 << ell) - 1)
-    return {Partition(parts): c for parts, c in top.items() if c != 0}
+    rest = _h_in_s(Partition(mu[1:]))
+    return _lincomb((dict.fromkeys(_strips(lam, mu[0]), 1), c) for lam, c in rest.items())
 
 
 def _pairings(table, vec: dict, degree: int) -> dict:
     """<f, X_key> = sum_mu vec[mu] * table(key)[mu] for each key |- degree.
 
     table(key) expands X_key in a basis, vec holds f in the dual basis
-    (m and h are dual), and zero pairings are dropped.
+    (m and h are dual, s is self-dual), and zero pairings are dropped.
     """
     out = {}
     for key in enumerate_partitions(degree):
@@ -275,18 +262,35 @@ def _pairings(table, vec: dict, degree: int) -> dict:
     return out
 
 
+def _m_to_s(mvec: dict, degree: int) -> dict:
+    """Schur coefficients c of f = sum_mu mvec[mu] m_mu.
+
+    [m_mu] f = sum_lam c_lam K_lam,mu with K_mu,mu = 1 and K_lam,mu = 0
+    unless lam dominates mu.  Dominance implies reverse-lex precedence, so
+    in that order c_mu is [m_mu] f minus c_lam K_lam,mu over the shapes
+    lam != mu already solved.
+    """
+    out: dict = {}
+    for mu in enumerate_partitions(degree):
+        solved = sum(out[lam] * k for lam, k in _h_in_s(mu).items() if lam in out)
+        c = mvec.get(mu, 0) - solved
+        if c:
+            out[mu] = c
+    return out
+
+
 def _to_p_terms(f: SymFunc) -> dict:
     """Coefficient dict of f in the power-sum basis: <f, p_rho> / z_rho.
 
     The pairing reads p_rho in h for an m-vector and p_rho in m for an
-    h-vector; e goes through omega and s through its h-expansion.
+    h-vector; e goes through omega and s through its m-expansion.
     """
     if f.basis is Basis.P:
         return dict(f.terms)
     vec = f.terms
     if f.basis is Basis.S:
-        vec = _lincomb((_s_in_h(lam), c) for lam, c in vec.items())
-    table = _p_in_h if f.basis is Basis.M else _p_in_m
+        vec = _pairings(_h_in_s, vec, f.degree)
+    table = _p_in_m if f.basis in (Basis.H, Basis.E) else _p_in_h
     pvec = {rho: c / z_of(rho) for rho, c in _pairings(table, vec, f.degree).items()}
     return _omega_signs(pvec) if f.basis is Basis.E else pvec
 
@@ -299,7 +303,7 @@ def _from_p_terms(pvec: dict, degree: int, target: Basis) -> dict:
     if target in (Basis.H, Basis.E):
         return _lincomb((_p_in_h(rho), c) for rho, c in pvec.items())
     mvec = _lincomb((_p_in_m(rho), c) for rho, c in pvec.items())
-    return mvec if target is Basis.M else _pairings(_s_in_h, mvec, degree)
+    return mvec if target is Basis.M else _m_to_s(mvec, degree)
 
 
 def convert(f: SymFunc, target: Basis) -> SymFunc:
@@ -307,8 +311,12 @@ def convert(f: SymFunc, target: Basis) -> SymFunc:
     if f.basis is target:
         return f
     if f.basis is Basis.M and target is Basis.S:
-        return SymFunc(target, f.degree, _pairings(_s_in_h, f.terms, f.degree))
-    return SymFunc(target, f.degree, _from_p_terms(_to_p_terms(f), f.degree, target))
+        terms = _m_to_s(f.terms, f.degree)
+    elif f.basis is Basis.S and target is Basis.M:
+        terms = _pairings(_h_in_s, f.terms, f.degree)
+    else:
+        terms = _from_p_terms(_to_p_terms(f), f.degree, target)
+    return SymFunc(target, f.degree, terms)
 
 
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:

@@ -1,11 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from sproutsym import oracles
-from sproutsym.cli import run
+from sproutsym.cli import render_latex, render_text, run
 from sproutsym.seeds import seed_by_name
 from sproutsym.series import dump_seed_series
+from sproutsym.symfunc import Basis, SymFunc
 
 
 def invoke(capsys, *argv):
@@ -46,6 +48,14 @@ class TestExpand:
             capsys, "expand", "--seed", "one_plus_t", "--n", "2", "--basis", "h"
         )
         assert out.strip() == "h[1,1] - h[2]"
+
+    def test_negative_leading_term_renders(self):
+        f = SymFunc(Basis.H, 3, {(1, 1, 1): -1, (2, 1): Fraction(1, 2), (3,): -4})
+        assert render_text(f) == "-h[1,1,1] + 1/2·h[2,1] - 4·h[3]"
+        assert render_latex(f) == "-h_{1}^{3} + \\frac{1}{2} h_{2} h_{1} - 4 h_{3}"
+        g = SymFunc(Basis.S, 3, {(2, 1): Fraction(-3, 7)})
+        assert render_text(g) == "-3/7·s[2,1]"
+        assert render_latex(g) == "-\\frac{3}{7} s_{2,1}"
 
     def test_json_round_trips_byte_identically(self, capsys):
         _, out, _ = invoke(

@@ -117,7 +117,7 @@ class TestStraightShapeConsistency:
         # pick det[a_(lam_i - i + j)] out of the Toeplitz matrix
         for name in ("secsqrt", "qfn", "l_genus"):
             seed = seed_by_name(name, 12)
-            for n in range(1, 7):
+            for n in range(1, 13):
                 expansion = convert(sprout_m(seed, n), Basis.S)
                 for lam in enumerate_partitions(n):
                     top = lam[0] - 1

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sproutsym import symfunc
-from sproutsym.partitions import EMPTY, Partition, enumerate_partitions, z_of
+from sproutsym.oracles import SkewShape, syt_count_det
+from sproutsym.partitions import (
+    EMPTY,
+    Partition,
+    conjugate,
+    enumerate_partitions,
+    multinomial,
+    z_of,
+)
 from sproutsym.seeds import seed_by_name
 from sproutsym.sprout import sprout_m
 from sproutsym.suites import CATALOG_SPECS
@@ -159,8 +167,42 @@ class TestTransitionTables:
     def test_tables_hold_only_ints(self):
         for n in range(11):
             for lam in enumerate_partitions(n):
-                for table in (symfunc._p_in_m, symfunc._p_in_h, symfunc._s_in_h):
+                for table in (symfunc._p_in_m, symfunc._p_in_h, symfunc._h_in_s):
                     assert all(type(c) is int for c in table(lam).values())
+
+    def test_kostka_unitriangular_under_dominance(self):
+        # the m -> s solve relies on K_mu,mu = 1 and K_lam,mu = 0 unless lam >= mu
+        def dominates(lam, mu):
+            return all(sum(lam[:i]) >= sum(mu[:i]) for i in range(1, len(mu) + 1))
+
+        for n in range(13):
+            for mu in enumerate_partitions(n):
+                row = symfunc._h_in_s(mu)
+                assert row[mu] == 1
+                assert all(k > 0 and dominates(lam, mu) for lam, k in row.items())
+
+    def test_kostka_counts_words(self):
+        # sum_lam f^lam K_lam,mu counts words of content mu (RSK), with f^lam
+        # from the factorial determinant, which does not touch symfunc
+        for n in range(11):
+            f = {lam: syt_count_det(SkewShape(lam, EMPTY)) for lam in enumerate_partitions(n)}
+            for mu in enumerate_partitions(n):
+                got = sum(f[lam] * k for lam, k in symfunc._h_in_s(mu).items())
+                assert got == multinomial(n, mu)
+
+    def test_strips_match_brute_force(self):
+        # nu / lam is a horizontal strip iff nu contains lam and no column grows by two
+        for size in range(9):
+            for r in range(size + 1):
+                for lam in enumerate_partitions(size - r):
+                    cols = conjugate(lam) + (0,) * size
+                    want = [
+                        nu for nu in enumerate_partitions(size)
+                        if len(nu) >= len(lam)
+                        and all(a >= b for a, b in zip(nu, lam))
+                        and all(a - b <= 1 for a, b in zip(conjugate(nu), cols))
+                    ]
+                    assert sorted(symfunc._strips(lam, r), reverse=True) == want
 
     def test_sprout_round_trips_through_every_basis(self):
         for n in range(11):
