@@ -90,8 +90,6 @@ def render_text(f: SymFunc) -> str:
 
 
 def _latex_monomial(basis: Basis, lam: Partition) -> str:
-    if not lam:
-        return "1"
     if basis in (Basis.P, Basis.E, Basis.H):
         factors = []
         for value, mult in sorted(lam.multiplicities().items(), reverse=True):
@@ -105,12 +103,14 @@ def _latex_monomial(basis: Basis, lam: Partition) -> str:
 
 def render_latex(f: SymFunc) -> str:
     def body(lam, mag):
-        mono = _latex_monomial(f.basis, lam)
         if mag.denominator == 1:
             coeff = "" if (mag == 1 and lam) else str(mag.numerator)
         else:
             coeff = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        return f"{coeff} {mono}".strip() if coeff else mono
+        if not lam:
+            return coeff
+        mono = _latex_monomial(f.basis, lam)
+        return f"{coeff} {mono}" if coeff else mono
 
     return _render_terms(f, body)
 
@@ -171,13 +171,12 @@ def cmd_verify(args) -> int:
     nmax = args.nmax if args.nmax is not None else SUITE_DEFAULTS[args.suite]
     checks = run_checks(suite(nmax))
     failures = 0
-    for check in checks:
-        if check.ok:
-            print(f"ok   {check.name}")
+    for name, ok, detail in checks:
+        if ok:
+            print(f"ok   {name}")
         else:
             failures += 1
-            detail = f": {check.detail}" if check.detail else ""
-            print(f"FAIL {check.name}{detail}")
+            print(f"FAIL {name}: {detail}" if detail else f"FAIL {name}")
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return 0 if failures == 0 else 1
 

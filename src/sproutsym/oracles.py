@@ -18,7 +18,7 @@ from math import factorial
 from .errors import BudgetError
 from .linalg import det_int_bareiss
 from .partitions import Partition, conjugate
-from .symfunc import Basis, SymFunc, add, convert, omega, zero
+from .symfunc import Basis, SymFunc, omega
 
 _ALT_BUDGET = 12  # longest permutation any enumeration here will walk
 _SYT_DET_BUDGET = 24
@@ -437,12 +437,13 @@ def uio_sum(n: int) -> SymFunc:
     """Sum of omega of the chromatic symmetric functions over all matchings.
 
     Returned in the monomial basis; equals (2n)! times the sec(sqrt(t))
-    sprout function of degree n.
+    sprout function of degree n.  omega is linear, so the m-terms of every
+    X_G are summed first and omega is applied once.
     """
     check_uio_budget(n)
-    total = zero(Basis.P, n)
+    total: dict[Partition, Fraction] = {}
     for matching in matchings(n):
         graph = IntervalOrder.from_matching(matching).incomparability_graph()
-        x_g = chromatic_sym(graph, n)
-        total = add(total, omega(convert(x_g, Basis.P)))
-    return convert(total, Basis.M)
+        for lam, c in chromatic_sym(graph, n).terms.items():
+            total[lam] = total.get(lam, 0) + c
+    return omega(SymFunc(Basis.M, n, total))

@@ -115,10 +115,6 @@ def basis_element(basis: Basis, lam) -> SymFunc:
     return SymFunc(basis, lam.n, {lam: Fraction(1)})
 
 
-def zero(basis: Basis, degree: int) -> SymFunc:
-    return SymFunc(basis, degree, {})
-
-
 def add(f: SymFunc, g: SymFunc) -> SymFunc:
     if f.basis != g.basis or f.degree != g.degree:
         raise ValueError("can only add symmetric functions of equal basis and degree")

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sproutsym import oracles
+from sproutsym import oracles, suites
 from sproutsym.cli import render_latex, render_text, run
+from sproutsym.errors import ConsistencyError
 from sproutsym.seeds import seed_by_name
 from sproutsym.series import dump_seed_series
 from sproutsym.symfunc import Basis, SymFunc
@@ -78,6 +79,16 @@ class TestExpand:
         )
         assert out.strip() == "h_{1}^{2} + 4 h_{2}"
 
+    @pytest.mark.parametrize("basis", ["m", "p", "e", "h", "s"])
+    @pytest.mark.parametrize("scale", ["none", "fact2n"])
+    def test_latex_constant_term_matches_text(self, capsys, basis, scale):
+        argv = ["expand", "--seed", "secsqrt", "--n", "0", "--basis", basis,
+                "--scale", scale]
+        _, text, _ = invoke(capsys, *argv)
+        _, latex, _ = invoke(capsys, *argv, "--format", "latex")
+        assert text == "1\n"
+        assert latex == text
+
     def test_file_seed(self, capsys, tmp_path):
         path = tmp_path / "seed.json"
         path.write_text(dump_seed_series(seed_by_name("geom", 6).a))
@@ -121,6 +132,25 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--suite", suite, "--nmax", nmax)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_failed_check_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(suites, "phi_abs", lambda lam: 0)
+        code, out, _ = invoke(capsys, "verify", "--suite", "rp", "--nmax", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL rp-histogram n=1: got ")
+        assert ", expected " in lines[0]
+        assert lines[-1] == "0/1 checks passed"
+
+    def test_consistency_error_mid_suite_prints_nothing(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ConsistencyError("closed form disagrees")
+
+        monkeypatch.setattr(suites, "special_h_pair", broken)
+        code, out, err = invoke(capsys, "verify", "--suite", "h-specials", "--nmax", "2")
+        assert code == 1
+        assert out == ""
+        assert "identity violation: closed form disagrees" in err
 
 
 class TestPositivityCommand:
