@@ -31,12 +31,12 @@ from .positivity import decimation_check, expansion_positivity, toeplitz_minors
 from .seeds import CATALOG, parse_seed_spec, seed_by_name
 from .series import Series, rat_str
 from .sprout import (
+    expansion_in,
     special_h_pair,
     special_hk_series,
     special_hooks,
     special_ones,
     special_sn,
-    sprout_m,
 )
 from .suites import SUITE_DEFAULTS, SUITES, run_checks
 from .symfunc import Basis, SymFunc, convert, scale
@@ -145,7 +145,7 @@ def _poly_text(poly) -> str:
 
 def cmd_expand(args) -> int:
     seed = seed_by_name(parse_seed_spec(args.seed), args.n)
-    f = convert(sprout_m(seed, args.n), Basis.from_letter(args.basis))
+    f = expansion_in(seed, args.n, Basis.from_letter(args.basis))
     if args.scale == "fact2n":
         f = scale(f, factorial(2 * args.n))
     if args.format == "json":

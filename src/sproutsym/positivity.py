@@ -30,9 +30,9 @@ from math import comb, lcm
 from .errors import BudgetError, PrecisionError
 from .partitions import enumerate_partitions
 from .series import rat_str
-from .sprout import Seed, decimate_seed, sprout_m
+from .sprout import Seed, decimate_seed, expansion_in
 from .sprout import toeplitz_minor  # re-exported, the single-minor entry point
-from .symfunc import Basis, convert
+from .symfunc import Basis
 
 DEFAULT_MINOR_BUDGET = 3_000_000
 
@@ -202,7 +202,8 @@ def toeplitz_minors(
 def expansion_positivity(seed: Seed, n_max: int, basis: Basis) -> PositivityReport:
     """Expand R_1..R_{n_max} in the s, e or h basis and report the first
     strictly negative coefficient, scanning degrees upward and partitions
-    in canonical order.
+    in canonical order.  The expansions come from ``expansion_in``, whose
+    memo on the seed is filled once for the whole sweep.
 
     For the e basis the Newton inequalities
     a_k^2 >= (1 + 1/k) a_{k-1} a_{k+1}, k = 1..n_max-1, are checked first
@@ -230,7 +231,7 @@ def expansion_positivity(seed: Seed, n_max: int, basis: Basis) -> PositivityRepo
                 break
     first_negative = None
     for n in range(1, n_max + 1):
-        expansion = convert(sprout_m(seed, n), basis)
+        expansion = expansion_in(seed, n, basis)
         for lam in enumerate_partitions(n):
             coeff = expansion.coeff(lam)
             if coeff < 0:

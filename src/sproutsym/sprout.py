@@ -7,7 +7,10 @@ construction routes are implemented so that disagreement localizes bugs:
 * the monomial route      [m_lam] R_n = a_{lam_1} a_{lam_2} ...
 * the power-sum route     [p_lam] R_n = b_{lam_1} b_{lam_2} ... / z_lam
 * the hom route           [b_lam] R_n = phi(dual of b_lam), where phi is
-  the algebra map sending h_k to a_k.
+  the algebra map sending h_k to a_k: Jacobi-Trudi for s, and for h
+  (and e, on the omega seed) a recurrence over partitions in which phi
+  meets only power sums and monomials.  Neither touches the transition
+  tables of ``convert``.
 
 Here b_n are the log coefficients, log F(t) = sum_n b_n t^n / n; they are
 derived once at seed construction.
@@ -19,7 +22,7 @@ disagree, rather than returning a silently wrong value.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 from .errors import ConsistencyError, PrecisionError
 from .linalg import det_int_bareiss
@@ -44,7 +47,6 @@ from .symfunc import (
     convert,
     kronecker,
     multiply,
-    omega,
     principal_specialize,
 )
 
@@ -54,9 +56,11 @@ class Seed:
 
     ``a`` holds the series coefficients (a_0 = 1 enforced); ``b[n]`` is
     n times the n-th log coefficient, with the convention b[0] = 1.
+    ``_memo`` holds the hom route's tables for this seed (see
+    ``expansion_in``), grown on demand.
     """
 
-    __slots__ = ("a", "b", "name")
+    __slots__ = ("a", "b", "name", "_memo")
 
     def __init__(self, a: Series, name: str | None = None):
         if a.coeff(0) != 1:
@@ -68,6 +72,7 @@ class Seed:
             for n in range(a.precision + 1)
         )
         self.name = name
+        self._memo = {}
 
     @property
     def precision(self) -> int:
@@ -147,28 +152,84 @@ def phi_hom(seed: Seed, f: SymFunc) -> Fraction:
     return acc
 
 
-def expansion_in(seed: Seed, n: int, basis: Basis) -> SymFunc:
-    """R_n in any basis, via phi applied to the dual basis elements.
+def _levels(seed: Seed, key: str, n: int, step) -> list:
+    """The memo ``key`` of seed, grown to degree n: levels[k][lam] for lam |- k.
 
-    The dual pairs are (m, h), (p, p/z), (e, omega m) and s is self-dual,
-    so each coefficient is a single phi evaluation.  Agrees exactly with
-    converting the monomial route.
+    ``step(seed, levels, lam)`` may read any lower level and, in the
+    current level, any partition before lam in canonical order.
+    """
+    levels = seed._memo.setdefault(key, [])
+    for k in range(len(levels), n + 1):
+        level = {}
+        levels.append(level)
+        for lam in enumerate_partitions(k):
+            level[lam] = step(seed, levels, lam)
+    return levels
+
+
+def _schur_step(seed: Seed, levels: list, lam: Partition) -> Fraction:
+    """det[a_{lam_i - i + j}] expanded along its last column.
+
+    Deleting row i and the last column leaves the Jacobi-Trudi matrix of
+    mu = (lam_1, ..., lam_{i-1}, lam_{i+1} - 1, ..., lam_l - 1); trailing
+    zero parts add a unitriangular block, so they are dropped.
+    """
+    if not lam:
+        return Fraction(1)
+    ell, acc = len(lam), Fraction(0)
+    for i, part in enumerate(lam):
+        d = part + ell - 1 - i
+        a = seed.a_coeff(d)
+        if a:
+            mu = lam[:i] + tuple(p - 1 for p in lam[i + 1 :] if p > 1)
+            term = a * levels[lam.n - d][mu]
+            acc += -term if (ell - 1 - i) % 2 else term
+    return acc
+
+
+def _hom_step(seed: Seed, levels: list, nu: Partition) -> Fraction:
+    """phi(m~_nu) for the augmented monomial m~_nu = m_nu * prod_i m_i(nu)!.
+
+    With k the smallest part and nu = mu + (k), p_k m~_mu = m~_nu +
+    sum_r m~_{mu + k e_r} over the positions r of mu, and phi(p_k) = b_k.
+    Every mu + k e_r dominates nu, so it precedes nu in canonical order.
+    """
+    if not nu:
+        return Fraction(1)
+    k, mu, n = nu[-1], nu[:-1], nu.n
+    acc = seed.b_coeff(k) * levels[n - k][mu]
+    for r, part in enumerate(mu):
+        grown = sorted(mu[:r] + (part + k,) + mu[r + 1 :], reverse=True)
+        acc -= levels[n][tuple(grown)]
+    return acc
+
+
+def expansion_in(seed: Seed, n: int, basis: Basis) -> SymFunc:
+    """R_n in any basis, with no transition table.
+
+    m and p are the closed forms.  s is the Jacobi-Trudi determinant
+    det[a_{lam_i - i + j}], expanded along its last column into smaller
+    shapes.  Since R_n = sum_nu phi(m_nu) h_nu by the Cauchy identity, h
+    is phi on augmented monomials (``_hom_step``), and e is h on the
+    omega seed 1/F(-t).  The s and h memos live on the seed and cover
+    every partition of size <= n, so a sweep over degrees fills each
+    once.  Agrees exactly with converting the monomial route.
     """
     _check_degree(seed, n)
-    terms = {}
-    for lam in enumerate_partitions(n):
-        if basis is Basis.M:
-            c = prod((seed.a_coeff(part) for part in lam), start=Fraction(1))
-        elif basis is Basis.P:
-            c = phi_hom(seed, basis_element(Basis.P, lam)) / z_of(lam)
-        elif basis is Basis.H:
-            c = phi_hom(seed, basis_element(Basis.M, lam))
-        elif basis is Basis.E:
-            c = phi_hom(seed, omega(basis_element(Basis.M, lam)))
-        else:
-            c = schur_coeff(seed, lam)
-        if c != 0:
-            terms[lam] = c
+    if basis is Basis.M:
+        return sprout_m(seed, n)
+    if basis is Basis.P:
+        return sprout_p(seed, n)
+    if basis is Basis.S:
+        return SymFunc(basis, n, _levels(seed, "s", n, _schur_step)[n])
+    if basis is Basis.E:
+        if "omega" not in seed._memo:
+            seed._memo["omega"] = omega_seed(seed)
+        seed = seed._memo["omega"]
+    terms = {
+        nu: c / prod(factorial(m) for m in nu.multiplicities().values())
+        for nu, c in _levels(seed, "h", n, _hom_step)[n].items()
+    }
     return SymFunc(basis, n, terms)
 
 

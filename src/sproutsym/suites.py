@@ -181,7 +181,14 @@ def _routes_mismatch(seed, n: int) -> str:
     via_p = convert(sprout_p(seed, n), Basis.M)
     via_phi_h = convert(expansion_in(seed, n, Basis.H), Basis.M)
     via_phi_s = convert(expansion_in(seed, n, Basis.S), Basis.M)
-    for route, label in ((via_p, "power-sum"), (via_phi_h, "hom/h"), (via_phi_s, "hom/s")):
+    via_phi_e = convert(expansion_in(seed, n, Basis.E), Basis.M)
+    routes = (
+        (via_p, "power-sum"),
+        (via_phi_h, "hom/h"),
+        (via_phi_s, "hom/s"),
+        (via_phi_e, "hom/e"),
+    )
+    for route, label in routes:
         if route != via_m:
             return f"{label} route disagrees with monomial route"
     if dim(sprout_p(seed, n)) != seed.a_coeff(1) ** n:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sproutsym import oracles, suites
+from sproutsym import oracles, sprout, suites
 from sproutsym.cli import render_latex, render_text, run
 from sproutsym.errors import ConsistencyError
 from sproutsym.seeds import seed_by_name
@@ -141,6 +141,15 @@ class TestVerify:
         assert lines[0].startswith("FAIL rp-histogram n=1: got ")
         assert ", expected " in lines[0]
         assert lines[-1] == "0/1 checks passed"
+
+    def test_routes_catch_a_broken_e_route(self, capsys, monkeypatch):
+        # e read off the h recurrence on F itself, not on the omega seed 1/F(-t)
+        monkeypatch.setattr(sprout, "omega_seed", lambda seed: seed)
+        code, out, _ = invoke(capsys, "verify", "--suite", "routes", "--nmax", "2")
+        assert code == 1
+        lines = out.splitlines()
+        assert "ok   routes seed=secsqrt n=1" in lines
+        assert "FAIL routes seed=secsqrt n=2: hom/e route disagrees with monomial route" in lines
 
     def test_consistency_error_mid_suite_prints_nothing(self, capsys, monkeypatch):
         def broken(*args):

@@ -376,6 +376,17 @@ class TestEdreiThoma:
         assert toeplitz_minors(seed, 4, 6).passed
         assert not expansion_positivity(seed, 6, Basis.E).passed
 
+    # sec(sqrt(t)) = prod_k 1/(1 - t/((k - 1/2) pi)^2) has alpha parameters
+    # only: Schur- and h-positive at every degree, but not e-positive.
+    def test_secsqrt_h_and_s_pass_to_twenty(self):
+        seed = seed_by_name("secsqrt", 20)
+        assert expansion_positivity(seed, 20, Basis.H).passed
+        assert expansion_positivity(seed, 20, Basis.S).passed
+
+    def test_secsqrt_e_fails_first_at_two(self):
+        report = expansion_positivity(seed_by_name("secsqrt", 20), 20, Basis.E)
+        assert report.first_negative == (2, Partition((2,)), Fraction(-1, 6))
+
 
 class TestDecimation:
     def test_sec_decimated_passes(self):

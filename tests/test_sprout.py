@@ -125,6 +125,57 @@ class TestSproutRoutes:
             sprout_m(seed, 4)
 
 
+class TestExpansionIn:
+    """The hom route's recurrences against conversion of the monomial route."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        tail=st.lists(
+            st.one_of(
+                st.just(Fraction(0)),
+                st.fractions(min_value=-6, max_value=6, max_denominator=8),
+            ),
+            min_size=10,
+            max_size=10,
+        ),
+        n=st.integers(0, 10),
+    )
+    def test_matches_convert_for_random_seeds(self, tail, n):
+        seed = Seed(Series([1, *tail]))
+        # degree n first, so the lower degrees are read from the memo it filled
+        for k in range(n, -1, -1):
+            r_k = sprout_m(seed, k)
+            for basis in (Basis.H, Basis.E, Basis.S):
+                assert expansion_in(seed, k, basis) == convert(r_k, basis)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["secsqrt", "l_genus"])
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_matches_convert_at_high_degree(self, name, n):
+        seed = seed_by_name(name, n)
+        r_n = sprout_m(seed, n)
+        for basis in (Basis.H, Basis.E, Basis.S):
+            assert expansion_in(seed, n, basis) == convert(r_n, basis)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_degree_zero_is_one(self, basis):
+        for seed in catalog(3):
+            assert expansion_in(seed, 0, basis) == SymFunc(basis, 0, {EMPTY: 1})
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_degree_one_is_a1(self, basis):
+        # m_1 = p_1 = e_1 = h_1 = s_1
+        for a1 in (Fraction(1, 2), Fraction(-3), Fraction(0)):
+            seed = Seed(Series([1, a1, 1]))
+            assert expansion_in(seed, 1, basis) == SymFunc(basis, 1, {(1,): a1})
+
+    def test_precision_guard(self):
+        seed = seed_by_name("geom", 3)
+        for basis in Basis:
+            with pytest.raises(PrecisionError):
+                expansion_in(seed, 4, basis)
+
+
 class TestSchurCoeff:
     def test_geom_column_vanishes(self):
         seed = seed_by_name("geom", 4)
