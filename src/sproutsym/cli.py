@@ -28,7 +28,7 @@ from .oracles import (
 )
 from .partitions import Partition, enumerate_partitions
 from .positivity import decimation_check, expansion_positivity, toeplitz_minors
-from .seeds import CATALOG, parse_seed_spec, seed_by_name
+from .seeds import CATALOG, seed_by_name
 from .series import Series, rat_str
 from .sprout import (
     expansion_in,
@@ -144,7 +144,7 @@ def _poly_text(poly) -> str:
 
 
 def cmd_expand(args) -> int:
-    seed = seed_by_name(parse_seed_spec(args.seed), args.n)
+    seed = seed_by_name(args.seed, args.n)
     f = expansion_in(seed, args.n, Basis.from_letter(args.basis))
     if args.scale == "fact2n":
         f = scale(f, factorial(2 * args.n))
@@ -185,7 +185,7 @@ def cmd_positivity(args) -> int:
     if args.basis is not None and args.nmax is None:
         raise ValueError("--basis needs --nmax")
     precision = max(args.degree * args.decimate, args.nmax or 0)
-    seed = seed_by_name(parse_seed_spec(args.seed), precision)
+    seed = seed_by_name(args.seed, precision)
     if args.decimate > 1:
         report = decimation_check(seed, args.decimate, args.minor_order, args.degree)
     else:
@@ -208,24 +208,23 @@ def cmd_special(args) -> int:
 
     if args.op == "hk" and args.k < 1:
         raise ValueError(f"argument --k: must be at least 1 for --op hk, got {args.k}")
-    spec = parse_seed_spec(args.seed)
     if args.op == "sn":
-        series = special_sn(seed_by_name(spec, args.nmax), args.nmax)
+        series = special_sn(seed_by_name(args.seed, args.nmax), args.nmax)
         emit_series(series)
     elif args.op == "ones":
-        series = special_ones(seed_by_name(spec, args.nmax), args.nmax, args.k)
+        series = special_ones(seed_by_name(args.seed, args.nmax), args.nmax, args.k)
         emit_series(series)
     elif args.op == "hk":
-        series = special_hk_series(seed_by_name(spec, args.k * args.nmax), args.k, args.nmax)
+        series = special_hk_series(seed_by_name(args.seed, args.k * args.nmax), args.k, args.nmax)
         emit_series(series)
     elif args.op == "hpair":
-        value = special_h_pair(seed_by_name(spec, args.i + args.j), args.i, args.j)
+        value = special_h_pair(seed_by_name(args.seed, args.i + args.j), args.i, args.j)
         if args.format == "json":
             _emit_json(rat_str(value, always_slash=True))
         else:
             print(rat_str(value))
     else:  # hooks
-        poly = special_hooks(seed_by_name(spec, args.n), args.n)
+        poly = special_hooks(seed_by_name(args.seed, args.n), args.n)
         if args.format == "json":
             _emit_json([rat_str(c, always_slash=True) for c in poly])
         else:

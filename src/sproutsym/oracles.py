@@ -3,14 +3,16 @@
 Everything here is deliberately first-principles so it can referee the
 algebraic machinery: permutations are enumerated by pruned backtracking
 (never by the zigzag recurrence), tableau counts by direct filling, and
-chromatic symmetric functions by stable set-partitions.
+chromatic symmetric functions by stable set-partitions.  A matching is a
+plain tuple of sorted (low, high) pairs; its interval order is read
+straight off the pairs by ``incomparability_graph``.
 
 Alternation convention: down-up throughout, w_1 > w_2 < w_3 > w_4 < ...
 A permutation of even length 2n splits into the odd-position subsequence
 whose left-to-right maxima define the record partition.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
@@ -184,22 +186,19 @@ def cyclically_alternating_count(n: int) -> int:
 # Skew shapes and standard Young tableaux.
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(namedtuple("SkewShape", "outer inner")):
     """A skew shape outer/inner with rows inner_i..outer_i - 1 (0-based cols)."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ()
 
-    def __post_init__(self):
-        outer, inner = Partition(self.outer), Partition(self.inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+    def __new__(cls, outer, inner):
+        outer, inner = Partition(outer), Partition(inner)
         if len(inner) > len(outer):
             raise ValueError("inner shape has more rows than outer")
         for i, part in enumerate(inner):
             if part > outer[i]:
                 raise ValueError("inner shape sticks out of outer")
+        return super().__new__(cls, outer, inner)
 
     def inner_padded(self) -> tuple:
         return tuple(self.inner) + (0,) * (len(self.outer) - len(self.inner))
@@ -292,36 +291,21 @@ def syt_count_brute(shape: SkewShape) -> int:
 # Matchings, interval orders, chromatic symmetric functions.
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A perfect matching of [2n], stored as sorted (low, high) pairs."""
+def matchings(n: int) -> list[tuple]:
+    """All perfect matchings of [2n] in first-partner order ((2n-1)!! of them).
 
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        object.__setattr__(self, "pairs", pairs)
-        ground = [x for pair in pairs for x in pair]
-        if sorted(ground) != list(range(1, 2 * len(pairs) + 1)):
-            raise ValueError(f"pairs do not partition [2n]: {pairs!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.pairs)
-
-
-def matchings(n: int) -> list[Matching]:
-    """All perfect matchings of [2n] in first-partner order ((2n-1)!! of them)."""
+    Each matching is a tuple of its (low, high) pairs, sorted.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > _MATCHING_BUDGET:
         raise BudgetError(f"n={n} exceeds the matching budget of {_MATCHING_BUDGET}")
-    out: list[Matching] = []
+    out: list[tuple] = []
     pairs: list[tuple] = []
 
     def pair_up(free: tuple) -> None:
         if not free:
-            out.append(Matching(tuple(pairs)))
+            out.append(tuple(pairs))
             return
         low = free[0]
         for partner in free[1:]:
@@ -333,44 +317,17 @@ def matchings(n: int) -> list[Matching]:
     return out
 
 
-@dataclass(frozen=True)
-class IntervalOrder:
-    """The interval order on a matching's pairs: {a,b} < {c,d} iff b < c."""
-
-    elements: tuple
-
-    @classmethod
-    def from_matching(cls, matching: Matching) -> "IntervalOrder":
-        return cls(matching.pairs)
-
-    def less(self, x, y) -> bool:
-        return max(x) < min(y)
-
-    def incomparability_graph(self) -> "Graph":
-        n = len(self.elements)
-        edges = frozenset(
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not self.less(self.elements[i], self.elements[j])
-            and not self.less(self.elements[j], self.elements[i])
-        )
-        return Graph(n, edges)
-
-
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "vertex_count edges")):
     """A simple undirected graph on vertices 0..vertex_count-1."""
 
-    vertex_count: int
-    edges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        edges = frozenset(tuple(sorted(e)) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
+    def __new__(cls, vertex_count: int, edges):
+        edges = frozenset(tuple(sorted(e)) for e in edges)
         for a, b in edges:
-            if a == b or not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
+            if a == b or not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"bad edge ({a}, {b})")
+        return super().__new__(cls, vertex_count, edges)
 
     def adjacency(self) -> list[set]:
         adj: list[set] = [set() for _ in range(self.vertex_count)]
@@ -378,6 +335,22 @@ class Graph:
             adj[a].add(b)
             adj[b].add(a)
         return adj
+
+
+def incomparability_graph(pairs) -> Graph:
+    """Incomparability graph of the interval order on the given intervals.
+
+    Interval x lies below y when max(x) < min(y); vertices i < j are
+    joined when neither of pairs[i], pairs[j] lies wholly left of the other.
+    """
+    n = len(pairs)
+    edges = frozenset(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if max(pairs[i]) >= min(pairs[j]) and max(pairs[j]) >= min(pairs[i])
+    )
+    return Graph(n, edges)
 
 
 def claw_graph() -> Graph:
@@ -434,16 +407,17 @@ def check_uio_budget(n: int) -> None:
 
 
 def uio_sum(n: int) -> SymFunc:
-    """Sum of omega of the chromatic symmetric functions over all matchings.
+    """Sum of omega X_G over the interval orders of all matchings of [2n].
 
-    Returned in the monomial basis; equals (2n)! times the sec(sqrt(t))
-    sprout function of degree n.  omega is linear, so the m-terms of every
-    X_G are summed first and omega is applied once.
+    G is the incomparability graph of the matching's pairs and X_G its
+    chromatic symmetric function.  Returned in the monomial basis; equals
+    (2n)! times the sec(sqrt(t)) sprout function of degree n.  omega is
+    linear, so the m-terms of every X_G are summed first and omega is
+    applied once.
     """
     check_uio_budget(n)
     total: dict[Partition, Fraction] = {}
-    for matching in matchings(n):
-        graph = IntervalOrder.from_matching(matching).incomparability_graph()
-        for lam, c in chromatic_sym(graph, n).terms.items():
+    for pairs in matchings(n):
+        for lam, c in chromatic_sym(incomparability_graph(pairs), n).terms.items():
             total[lam] = total.get(lam, 0) + c
     return omega(SymFunc(Basis.M, n, total))

@@ -22,10 +22,10 @@ elimination, which keeps the sweep and a minor-by-minor check
 independent computations.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from typing import NamedTuple
 
 from .errors import BudgetError, PrecisionError
 from .partitions import enumerate_partitions
@@ -37,8 +37,7 @@ from .symfunc import Basis
 DEFAULT_MINOR_BUDGET = 3_000_000
 
 
-@dataclass(frozen=True)
-class MinorReport:
+class MinorReport(NamedTuple):
     """Every violation found while sweeping Toeplitz minors."""
 
     max_order: int
@@ -64,8 +63,7 @@ class MinorReport:
         }
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """First negative coefficient (if any) in a basis expansion sweep."""
 
     basis: Basis
@@ -274,11 +272,5 @@ def decimation_check(
         f"entries a_(d*(j-i)) with d={d}: the matrix [a_(d(j-i))] is a submatrix "
         f"of [a_(j-i)], so each minor here is a minor of the base Toeplitz matrix"
     )
-    return MinorReport(
-        max_order=report.max_order,
-        max_degree=report.max_degree,
-        violations=report.violations,
-        passed=report.passed,
-        note=note,
-    )
+    return report._replace(note=note)
 

@@ -6,10 +6,10 @@ variable t = x^2, built by exact division of the even-part expansions of
 cos, sinh and friends.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import ConsistencyError, PrecisionError
 from .partitions import Partition
@@ -75,12 +75,11 @@ def phi_abs(lam) -> int:
 # Catalog.
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(NamedTuple):
     """A catalog seed name plus its parameters, if any."""
 
     name: str
-    params: tuple = field(default_factory=tuple)
+    params: tuple = ()
 
 
 def parse_seed_spec(text: str) -> SeedSpec:

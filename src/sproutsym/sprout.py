@@ -20,9 +20,9 @@ generic coefficient extraction and raises ConsistencyError if the two
 disagree, rather than returning a silently wrong value.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
+from typing import NamedTuple
 
 from .errors import ConsistencyError, PrecisionError
 from .linalg import det_int_bareiss
@@ -347,8 +347,7 @@ def special_hooks(seed: Seed, n: int) -> Poly:
     return _consistent(f"P_{n}(u)/(1+u)", closed, generic)
 
 
-@dataclass(frozen=True)
-class KroneckerReport:
+class KroneckerReport(NamedTuple):
     """Outcome of the internal-product homomorphism check at one degree."""
 
     degree: int

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sproutsym
 from sproutsym import oracles, sprout, suites
 from sproutsym.cli import render_latex, render_text, run
 from sproutsym.errors import ConsistencyError
@@ -380,6 +385,8 @@ class TestInputContract:
             *(argv for argv, _ in FLAG_ROWS),
             ("expand", "--seed", "geom(2)", "--n", "2", "--basis", "m"),
             ("expand", "--seed", "geom()", "--n", "2", "--basis", "m"),
+            ("oracle", "--op", "syt", "--outer", "2", "--inner", "3"),
+            ("oracle", "--op", "syt", "--outer", "2", "--inner", "1,1"),
         ],
     )
     def test_rejected_before_output(self, capsys, argv):
@@ -392,3 +399,24 @@ class TestInputContract:
         code, _, err = invoke(capsys, *argv)
         assert code == 2
         assert f"argument {flag}:" in err
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sproutsym.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(sproutsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "sproutsym.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

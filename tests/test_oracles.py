@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from sproutsym.errors import BudgetError
 from sproutsym.oracles import (
     Graph,
-    IntervalOrder,
-    Matching,
     SkewShape,
     _record_gaps,
     _walk_blocks,
@@ -20,6 +18,7 @@ from sproutsym.oracles import (
     chromatic_sym,
     claw_graph,
     cyclically_alternating_count,
+    incomparability_graph,
     matchings,
     piecewise_alt_count,
     record_partition,
@@ -269,40 +268,56 @@ class TestMatchings:
         assert len(matchings(5)) == 945
 
     def test_structure(self):
-        assert matchings(1) == [Matching(((1, 2),))]
-        for matching in matchings(3):
-            flat = sorted(x for pair in matching.pairs for x in pair)
+        assert matchings(1) == [((1, 2),)]
+        for pairs in matchings(3):
+            assert pairs == tuple(sorted(tuple(sorted(p)) for p in pairs))
+            flat = sorted(x for pair in pairs for x in pair)
             assert flat == list(range(1, 7))
+        assert matchings(2) == [
+            ((1, 2), (3, 4)),
+            ((1, 3), (2, 4)),
+            ((1, 4), (2, 3)),
+        ]
 
-    def test_validation_and_budget(self):
-        with pytest.raises(ValueError):
-            Matching(((1, 2), (2, 3)))
+    def test_budget(self):
         with pytest.raises(BudgetError):
             matchings(7)
 
 
 class TestIntervalOrder:
-    def test_order_properties(self):
-        for matching in matchings(3):
-            order = IntervalOrder.from_matching(matching)
-            elems = order.elements
-            for x in elems:
-                assert not order.less(x, x)
-            for x in elems:
-                for y in elems:
-                    for z in elems:
-                        if order.less(x, y) and order.less(y, z):
-                            assert order.less(x, z)
+    def test_non_edges_form_an_interval_order(self):
+        # Fishburn: a strict partial order is an interval order iff it has
+        # no induced 2+2.  Orient each non-edge by max(x) < min(y).
+        for n in range(1, 5):
+            for pairs in matchings(n):
+                edges = incomparability_graph(pairs).edges
+                less = {
+                    (i, j)
+                    for i in range(n)
+                    for j in range(n)
+                    if i != j and (min(i, j), max(i, j)) not in edges
+                    and max(pairs[i]) < min(pairs[j])
+                }
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if (i, j) not in edges:
+                            assert ((i, j) in less) != ((j, i) in less)
+                for x, y in less:
+                    assert (y, x) not in less
+                    for z in range(n):
+                        if (y, z) in less:
+                            assert (x, z) in less
+                for (a, b), (c, d) in permutations(less, 2):
+                    if len({a, b, c, d}) == 4:
+                        assert (a, d) in less or (c, b) in less
 
     def test_incomparability_graph_size(self):
         for n in (1, 2, 3):
-            for matching in matchings(n):
-                graph = IntervalOrder.from_matching(matching).incomparability_graph()
-                assert graph.vertex_count == n
+            for pairs in matchings(n):
+                assert incomparability_graph(pairs).vertex_count == n
 
     def test_claw_matching(self):
-        matching = Matching(((1, 8), (2, 3), (4, 5), (6, 7)))
-        graph = IntervalOrder.from_matching(matching).incomparability_graph()
+        graph = incomparability_graph(((1, 8), (2, 3), (4, 5), (6, 7)))
         degrees = sorted(
             sum(1 for e in graph.edges if v in e) for v in range(4)
         )
