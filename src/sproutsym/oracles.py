@@ -1,9 +1,14 @@
 """Independent brute-force verifiers: permutations, tableaux, matchings.
 
 Everything here is deliberately first-principles so it can referee the
-algebraic machinery: permutations are enumerated by pruned backtracking
-(never by the zigzag recurrence), tableau counts by direct filling, and
-chromatic symmetric functions by stable set-partitions.  A matching is a
+algebraic machinery: permutations come from one pruned backtracking search
+(never the zigzag recurrence), tableau counts from direct filling, and
+chromatic symmetric functions from stable set-partitions.  The counters
+``alternating_count``, ``piecewise_alt_count`` and
+``cyclically_alternating_count`` run that search over (unused values, last
+value) states, counting equal subtrees once; ``alternating_permutations``,
+``rp_histogram`` and ``piecewise_alt_brute`` still visit every permutation
+through ``_walk_blocks``.  A matching is a
 plain tuple of sorted (low, high) pairs; its interval order is read
 straight off the pairs by ``incomparability_graph``.
 
@@ -41,6 +46,19 @@ def check_alt_budget(length: int) -> None:
         )
 
 
+def _steps(length: int, block_starts) -> list[int]:
+    """Per-position pattern: 0 at a block start, -1 where a descent is due,
+    +1 where an ascent is due (blocks are down-up from their start)."""
+    steps = []
+    start = 0
+    for position in range(length):
+        if position in block_starts:
+            start = position
+        offset = position - start
+        steps.append(0 if offset == 0 else (-1 if offset % 2 else 1))
+    return steps
+
+
 def _walk_blocks(length: int, block_starts: frozenset, visit) -> None:
     """Backtrack over permutations of [length] alternating within each block.
 
@@ -53,14 +71,7 @@ def _walk_blocks(length: int, block_starts: frozenset, visit) -> None:
     if length == 0:
         visit([])
         return
-    # steps[p]: 0 at a block start, -1 where a descent is due, +1 for an ascent
-    steps = []
-    start = 0
-    for position in range(length):
-        if position in block_starts:
-            start = position
-        offset = position - start
-        steps.append(0 if offset == 0 else (-1 if offset % 2 else 1))
+    steps = _steps(length, block_starts)
     word = [0] * length
     last = length - 1
 
@@ -106,10 +117,46 @@ def _count_walks(length: int, block_starts) -> int:
     return count
 
 
+def _count_by_state(length: int, block_starts, first: int | None = None) -> int:
+    """Number of permutations ``_walk_blocks`` visits, without visiting them.
+
+    The same search, layer by layer: each layer maps (unused-value bitmask,
+    last value) to the number of prefixes that reach it, and each state is
+    extended by the walk's candidate rule, so equal subtrees are counted
+    once.  With ``first``, only permutations that start at ``first`` and
+    end below it are counted.
+    """
+    steps = _steps(length, block_starts)
+    full = (1 << (length + 1)) - 2  # bit v set while value v is unused
+    if first is None:
+        layer = {(full, 0): 1}
+    else:
+        layer = {(full ^ (1 << first), first): 1}
+        steps = steps[1:]
+    for step in steps:
+        grown: dict[tuple, int] = {}
+        for (free, last), count in layer.items():
+            if step == 0:
+                cand = free
+            elif step < 0:
+                cand = free & ((1 << last) - 1)
+            else:
+                cand = free >> (last + 1) << (last + 1)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                key = (free ^ low, low.bit_length() - 1)
+                grown[key] = grown.get(key, 0) + count
+        layer = grown
+    return sum(
+        count for (_, last), count in layer.items() if first is None or last < first
+    )
+
+
 def alternating_count(k: int) -> int:
     """Number of down-up alternating permutations of [k] (equals E_k)."""
     check_alt_budget(k)
-    return _count_walks(k, {0})
+    return _count_by_state(k, {0})
 
 
 def _record_gaps(w) -> tuple:
@@ -158,12 +205,22 @@ def rp_histogram(n: int) -> dict[Partition, int]:
     return {Partition(key): count for key, count in counts.items()}
 
 
-def piecewise_alt_count(lam) -> int:
-    """Count permutations of [2n] alternating on consecutive blocks 2*lam_i."""
+def _piecewise_blocks(lam) -> tuple[int, set]:
+    """Length 2n and block starts of the blocks 2*lam_i, budget checked."""
     lam = Partition(lam)
     length = 2 * lam.n
     check_alt_budget(length)
-    return _count_walks(length, accumulate((2 * part for part in lam[:-1]), initial=0))
+    return length, set(accumulate((2 * part for part in lam[:-1]), initial=0))
+
+
+def piecewise_alt_count(lam) -> int:
+    """Count permutations of [2n] alternating on consecutive blocks 2*lam_i."""
+    return _count_by_state(*_piecewise_blocks(lam))
+
+
+def piecewise_alt_brute(lam) -> int:
+    """``piecewise_alt_count`` by visiting each permutation once."""
+    return _count_walks(*_piecewise_blocks(lam))
 
 
 def cyclically_alternating_count(n: int) -> int:
@@ -171,15 +228,7 @@ def cyclically_alternating_count(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     check_alt_budget(2 * n)
-    count = 0
-
-    def bump(word) -> None:
-        nonlocal count
-        if word[-1] < word[0]:
-            count += 1
-
-    _walk_blocks(2 * n, frozenset({0}), bump)
-    return count
+    return sum(_count_by_state(2 * n, {0}, first) for first in range(1, 2 * n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .oracles import (
     check_syt_det_budget,
     check_uio_budget,
     cyclically_alternating_count,
+    piecewise_alt_brute,
     piecewise_alt_count,
     rho_shape,
     rp_histogram,
@@ -61,7 +62,8 @@ SUITE_DEFAULTS = {
 }
 
 
-# Brute-force tableau and cyclic-alternating counts run up to this degree.
+# Tableau and piecewise-alternating checks that visit every object, and the
+# cyclic-alternating count, run up to this degree.
 _BRUTE_NMAX = 4
 
 
@@ -100,12 +102,16 @@ def suite_m_expansion(nmax: int):
         seed = seed_by_name("secsqrt", n)
         euler = euler_numbers(2 * n)
         for lam in enumerate_partitions(n):
-            brute = piecewise_alt_count(lam)
+            count = piecewise_alt_count(lam)
             formula = multinomial(2 * n, [2 * p for p in lam])
             for p in lam:
                 formula *= euler[2 * p]
             from_seed = factorial(2 * n) * sprout_m(seed, n).coeff(lam)
-            detail = _mismatch(brute, formula) or _mismatch(Fraction(brute), from_seed)
+            detail = (
+                _mismatch(count, formula)
+                or _mismatch(Fraction(count), from_seed)
+                or (_mismatch(piecewise_alt_brute(lam), count) if n <= _BRUTE_NMAX else "")
+            )
             yield _result(f"m-expansion n={n} lam={list(lam)}", detail)
 
 

@@ -147,6 +147,26 @@ class TestVerify:
         assert ", expected " in lines[0]
         assert lines[-1] == "0/1 checks passed"
 
+    def test_m_expansion_brute_check_bites(self, capsys, monkeypatch):
+        real = suites.piecewise_alt_brute
+        monkeypatch.setattr(suites, "piecewise_alt_brute", lambda lam: real(lam) + 1)
+        code, out, _ = invoke(capsys, "verify", "--suite", "m-expansion", "--nmax", "2")
+        assert code == 1
+        assert any(line.startswith("FAIL m-expansion") for line in out.splitlines())
+
+    def test_m_expansion_walks_only_up_to_the_brute_degree(self, capsys, monkeypatch):
+        lengths = []
+        real = oracles._walk_blocks
+
+        def recording(length, *rest):
+            lengths.append(length)
+            return real(length, *rest)
+
+        monkeypatch.setattr(oracles, "_walk_blocks", recording)
+        code, _, _ = invoke(capsys, "verify", "--suite", "m-expansion", "--nmax", "5")
+        assert code == 0
+        assert 0 < max(lengths) <= 2 * suites._BRUTE_NMAX
+
     def test_routes_catch_a_broken_e_route(self, capsys, monkeypatch):
         # e read off the h recurrence on F itself, not on the omega seed 1/F(-t)
         monkeypatch.setattr(sprout, "omega_seed", lambda seed: seed)
@@ -324,18 +344,33 @@ class TestExitCodes:
     @pytest.mark.parametrize("suite", ["m-expansion", "rp"])
     def test_suite_budget_checked_before_any_walk(self, capsys, monkeypatch, suite):
         walks = []
-        real_walk = oracles._walk_blocks
+        for name in ("_walk_blocks", "_count_by_state"):
+            real = getattr(oracles, name)
 
-        def counting_walk(*args):
-            walks.append(args[0])
-            return real_walk(*args)
+            def recording(*args, real=real):
+                walks.append(args[0])
+                return real(*args)
 
-        monkeypatch.setattr(oracles, "_walk_blocks", counting_walk)
+            monkeypatch.setattr(oracles, name, recording)
         code, out, err = invoke(capsys, "verify", "--suite", suite, "--nmax", "7")
         assert code == 3
         assert out == ""
         assert "length 14 exceeds the budget of 12" in err
         assert walks == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "--op", "alt-count", "--n", "13"),
+            ("oracle", "--op", "cyc-alt", "--n", "7"),
+            ("oracle", "--op", "piecewise", "--partition", "7"),
+        ],
+    )
+    def test_oracle_count_over_budget(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "exceeds the budget of 12" in err
 
     def test_precision_error_from_file(self, capsys, tmp_path):
         path = tmp_path / "short.json"

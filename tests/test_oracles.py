@@ -11,6 +11,7 @@ from sproutsym.errors import BudgetError
 from sproutsym.oracles import (
     Graph,
     SkewShape,
+    _count_by_state,
     _record_gaps,
     _walk_blocks,
     alternating_count,
@@ -20,6 +21,7 @@ from sproutsym.oracles import (
     cyclically_alternating_count,
     incomparability_graph,
     matchings,
+    piecewise_alt_brute,
     piecewise_alt_count,
     record_partition,
     rho_shape,
@@ -74,6 +76,28 @@ class TestWalkBlocks:
         assert visited == [[]]
 
 
+class TestCountByState:
+    @settings(deadline=None, max_examples=30)
+    @given(shape=walk_shapes())
+    def test_equals_the_walk_visits(self, shape):
+        length, starts = shape
+        visits = []
+        _walk_blocks(length, starts, visits.append)
+        assert _count_by_state(length, starts) == len(visits)
+
+    def test_first_equals_filtered_walk_visits(self):
+        for length in range(2, 11, 2):
+            falls = Counter()
+
+            def tally(w):
+                if w[-1] < w[0]:
+                    falls[w[0]] += 1
+
+            _walk_blocks(length, frozenset({0}), tally)
+            for first in range(1, length + 1):
+                assert _count_by_state(length, {0}, first) == falls[first]
+
+
 class TestAlternating:
     def test_four(self):
         perms = alternating_permutations(4)
@@ -100,6 +124,9 @@ class TestAlternating:
     def test_nine(self):
         assert alternating_count(9) == 7936
         assert alternating_count(9) == euler_numbers(9)[9]
+
+    def test_twelve_at_the_top_of_the_budget(self):
+        assert alternating_count(12) == euler_numbers(12)[12] == 2702765
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -175,12 +202,19 @@ class TestPiecewise:
                     formula *= euler[2 * p]
                 assert piecewise_alt_count(lam) == formula
 
+    def test_brute_twin_agrees_up_to_4(self):
+        for n in range(5):
+            for lam in enumerate_partitions(n):
+                assert piecewise_alt_brute(lam) == piecewise_alt_count(lam)
+
     def test_empty(self):
         assert piecewise_alt_count(EMPTY) == 1
 
     def test_budget(self):
         with pytest.raises(BudgetError):
             piecewise_alt_count(Partition((7,)))
+        with pytest.raises(BudgetError):
+            piecewise_alt_brute(Partition((7,)))
 
 
 class TestCyclicallyAlternating:
@@ -194,9 +228,11 @@ class TestCyclicallyAlternating:
         for n in range(1, 5):
             assert cyclically_alternating_count(n) == n * euler[2 * n - 1]
 
-    @pytest.mark.slow
     def test_n5(self):
         assert cyclically_alternating_count(5) == 5 * euler_numbers(9)[9]
+
+    def test_n6_at_the_top_of_the_budget(self):
+        assert cyclically_alternating_count(6) == 6 * euler_numbers(11)[11] == 2122752
 
 
 class TestRhoShape:
