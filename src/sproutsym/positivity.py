@@ -13,10 +13,11 @@ scaled back down.  The sweep uses the structure of [a_(j-i)]: a minor
 with rows[k] > cols[k] for some k is zero and is skipped, and a minor
 does not change when rows and cols shift together, so it is evaluated
 once per shift class.  Order k is built from order k - 1 by a cofactor
-expansion along the last column, which reads the previous order's
-nonzero classes and costs one k-term dot product per class.  Each
-negative class is then re-emitted shift by shift, so the report lists
-every negative (rows, cols) in the same order as a sweep over all pairs
+expansion along the last row, which keeps rows[0] = 0, so every
+cofactor is one of the previous order's stored nonzero classes and each
+new last row costs one k-term dot product.  The negative classes are
+sorted and re-emitted shift by shift, so the report lists every negative
+(rows, cols) in the same order as a sweep over all pairs
 would.  A single minor (``toeplitz_minor``) still runs through Bareiss
 elimination, which keeps the sweep and a minor-by-minor check
 independent computations.
@@ -28,7 +29,6 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from .errors import BudgetError, PrecisionError
-from .partitions import enumerate_partitions
 from .series import rat_str
 from .sprout import Seed, decimate_seed, expansion_in
 from .sprout import toeplitz_minor  # re-exported, the single-minor entry point
@@ -109,16 +109,17 @@ def toeplitz_minors(
     rows[k] > cols[k] for some k is zero; and it depends only on j - i,
     so shifting rows and cols together leaves a minor unchanged.  Each
     shift class is evaluated once, at its representative with
-    rows[0] = 0, by expanding along the last column c:
+    rows[0] = 0, by expanding along the last row r:
 
-        det = sum_i (-1)^(i+k-1) a_(c-rows[i]) M(rows minus rows[i], cols[:-1])
+        det = sum_j (-1)^(j+k-1) a_(cols[j]-r) M(rows[:-1], cols minus cols[j])
 
-    where every cofactor M is a class of order k - 1, read from the
-    previous order's nonzero values with its first row shifted to 0 (a
-    missing key is a structural zero).  The cofactors depend only on
-    (rows, cols[:-1]), so every last column c costs one k-term dot
-    product.  Each negative class is then re-expanded shift by shift,
-    which lists violations in (order, rows, cols) lexicographic order.
+    where a term with cols[j] < r is zero.  Deleting the last row keeps
+    rows[0] = 0, so every cofactor M is a class of order k - 1 as the
+    previous order stored it (a missing key is a structural zero).  The
+    cofactors depend only on (rows[:-1], cols), so every last row r costs
+    one k-term dot product.  The negative classes are sorted and then
+    re-expanded shift by shift, which lists violations in (order, rows,
+    cols) lexicographic order.
     The budget counts the full index set, skipped minors included, and is
     checked before any work.  Exact arithmetic throughout.
     """
@@ -141,48 +142,39 @@ def toeplitz_minors(
     entries = [int(seed.a_coeff(k) * scale) for k in range(size)]
     top = min(max_order, size)
     violations = []
-    previous = {((), ()): 1}  # nonzero classes of the previous order
+    previous = {(): {(): 1}}  # previous order's nonzero classes: rows -> {cols: det}
     for order in range(1, top + 1):
         back = scale**order
-        signs = [(-1) ** (i + order - 1) for i in range(order)]
+        signs = [(-1) ** (j + order - 1) for j in range(order)]
+        drops = [
+            (cols, [cols[:j] + cols[j + 1:] for j in range(order)])
+            for cols in combinations(range(size), order)
+        ]
         current = {}
         negative = []
-        for rest in combinations(range(1, size), order - 1):
-            rows = (0, *rest)
-            # rows minus rows[i]: for i = 0 shifted (with its cols) down by
-            # the new first row, for i >= 1 already a representative
-            first = rest[0] if rest else 0
-            head = tuple(r - first for r in rest)
-            tails = [rows[:i] + rows[i + 1:] for i in range(1, order)]
-            prefixes = [()]
-            for k in range(order - 1):
-                stop = size - order + 1 + k
-                prefixes = [
-                    cols + (j,)
-                    for cols in prefixes
-                    for j in range(max(rows[k], cols[-1] + 1 if cols else 0), stop)
-                ]
-            for prefix in prefixes:
-                keys = [(head, tuple(j - first for j in prefix))]
-                keys += [(tail, prefix) for tail in tails]
+        for head, minors in previous.items():
+            for cols, keys in drops:
                 terms = [
-                    (sign * sub, row)
-                    for key, sign, row in zip(keys, signs, rows)
-                    if (sub := previous.get(key))
+                    (sign * sub, c)
+                    for key, sign, c in zip(keys, signs, cols)
+                    if (sub := minors.get(key))
                 ]
                 if not terms:
                     continue
-                for c in range(max(rows[-1], prefix[-1] + 1 if prefix else 0), size):
+                # the new last row; at order 1 it is the representative's row 0
+                for r in range(head[-1] + 1, cols[-1] + 1) if head else (0,):
                     det = 0
-                    for cofactor, row in terms:
-                        det += cofactor * entries[c - row]
+                    for cofactor, c in terms:
+                        if c >= r:
+                            det += cofactor * entries[c - r]
                     if det:
-                        cols = prefix + (c,)
+                        rows = head + (r,)
                         if order < top:
-                            current[rows, cols] = det
+                            current.setdefault(rows, {})[cols] = det
                         if det < 0:
                             negative.append((rows, cols, Fraction(det, back)))
         previous = current
+        negative.sort()
         for t in range(size):
             violations.extend(
                 (tuple(i + t for i in rows), tuple(j + t for j in cols), value)
@@ -229,9 +221,7 @@ def expansion_positivity(seed: Seed, n_max: int, basis: Basis) -> PositivityRepo
                 break
     first_negative = None
     for n in range(1, n_max + 1):
-        expansion = expansion_in(seed, n, basis)
-        for lam in enumerate_partitions(n):
-            coeff = expansion.coeff(lam)
+        for lam, coeff in expansion_in(seed, n, basis).items_canonical():
             if coeff < 0:
                 first_negative = (n, lam, coeff)
                 break

@@ -381,11 +381,14 @@ def kronecker_hom_check(seed: Seed, n: int) -> KroneckerReport:
     for s in range(n + 1):
         r_left = sprout_p(seed, s)
         r_right = sprout_p(seed, n - s)
+        acts_right = [
+            (mu, kronecker(r_right, basis_element(Basis.P, mu)))
+            for mu in enumerate_partitions(n - s)
+        ]
         for lam in enumerate_partitions(s):
             act_left = kronecker(r_left, basis_element(Basis.P, lam))
-            for mu in enumerate_partitions(n - s):
+            for mu, act_right in acts_right:
                 checked += 1
-                act_right = kronecker(r_right, basis_element(Basis.P, mu))
                 product = multiply(
                     basis_element(Basis.P, lam), basis_element(Basis.P, mu)
                 )
@@ -398,7 +401,7 @@ def kronecker_hom_check(seed: Seed, n: int) -> KroneckerReport:
                 expected = SymFunc(
                     Basis.P, n, {product_key: b_prod for product_key in product.terms}
                 )
-                if lhs != convert(rhs, Basis.P) or lhs != expected:
+                if lhs != rhs or lhs != expected:
                     violations.append((lam, mu))
     return KroneckerReport(
         degree=n,

@@ -429,6 +429,16 @@ class TestInputContract:
         assert code == 2
         assert out == ""
 
+    def test_boolean_seed_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(["1", True, False, "1/2"]))
+        code, out, err = invoke(
+            capsys, "expand", "--seed", f"file:{path}", "--n", "2", "--basis", "m"
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed seed file" in err
+
     @pytest.mark.parametrize("argv,flag", FLAG_ROWS)
     def test_error_names_the_flag(self, capsys, argv, flag):
         code, _, err = invoke(capsys, *argv)

@@ -161,6 +161,14 @@ class TestSweepMatchesBruteForce:
         assert list(report.violations) == brute_violations(seed, 4, 10)
         assert len(report.violations) > 20_000
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name,count", [("l_genus", 6366), ("ahat", 6752)])
+    def test_order_five(self, name, count):
+        seed = seed_by_name(name, 8)
+        report = toeplitz_minors(seed, 5, 8)
+        assert list(report.violations) == brute_violations(seed, 5, 8)
+        assert len(report.violations) == count
+
     def test_budget_edge(self):
         seed = seed_by_name("geom", 7)
         for order, degree in ((1, 0), (2, 5), (3, 7)):
@@ -205,7 +213,7 @@ def skew_shapes(draw):
 
 class TestProperties:
     @settings(deadline=None, max_examples=60)
-    @given(coeffs=st.lists(COEFF, max_size=6), order=st.integers(1, 4))
+    @given(coeffs=st.lists(COEFF, max_size=6), order=st.integers(1, 7))
     def test_sweep_matches_brute_force(self, coeffs, order):
         seed = Seed(Series([1, *coeffs]))
         degree = len(coeffs)

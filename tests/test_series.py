@@ -214,3 +214,6 @@ class TestSeedFiles:
         path.write_text(json.dumps({"a": 1}))
         with pytest.raises(ValueError):
             load_seed_series(path)
+        path.write_text(json.dumps(["1", True, False, "1/2"]))
+        with pytest.raises(ValueError, match="malformed seed file"):
+            load_seed_series(path)
