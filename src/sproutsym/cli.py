@@ -27,7 +27,13 @@ from .oracles import (
     uio_sum,
 )
 from .partitions import Partition, enumerate_partitions
-from .positivity import decimation_check, expansion_positivity, toeplitz_minors
+from .positivity import (
+    DEFAULT_MINOR_BUDGET,
+    check_minor_budget,
+    decimation_check,
+    expansion_positivity,
+    toeplitz_minors,
+)
 from .seeds import CATALOG, seed_by_name
 from .series import Series, rat_str
 from .sprout import (
@@ -184,6 +190,7 @@ def cmd_verify(args) -> int:
 def cmd_positivity(args) -> int:
     if args.basis is not None and args.nmax is None:
         raise ValueError("--basis needs --nmax")
+    check_minor_budget(args.minor_order, args.degree, DEFAULT_MINOR_BUDGET)
     precision = max(args.degree * args.decimate, args.nmax or 0)
     seed = seed_by_name(args.seed, precision)
     if args.decimate > 1:

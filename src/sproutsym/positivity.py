@@ -17,10 +17,9 @@ expansion along the last row, which keeps rows[0] = 0, so every
 cofactor is one of the previous order's stored nonzero classes and each
 new last row costs one k-term dot product.  The negative classes are
 sorted and re-emitted shift by shift, so the report lists every negative
-(rows, cols) in the same order as a sweep over all pairs
-would.  A single minor (``toeplitz_minor``) still runs through Bareiss
-elimination, which keeps the sweep and a minor-by-minor check
-independent computations.
+(rows, cols) in the same order as a sweep over all pairs would.  A
+single minor (``toeplitz_minor``) is computed by Bareiss elimination, an
+independent referee for the sweep and for ``sprout.schur_coeff``.
 """
 
 from fractions import Fraction
@@ -29,9 +28,9 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from .errors import BudgetError, PrecisionError
+from .linalg import det_int_bareiss
 from .series import rat_str
 from .sprout import Seed, decimate_seed, expansion_in
-from .sprout import toeplitz_minor  # re-exported, the single-minor entry point
 from .symfunc import Basis
 
 DEFAULT_MINOR_BUDGET = 3_000_000
@@ -90,11 +89,29 @@ class PositivityReport(NamedTuple):
         }
 
 
-def _minor_count(max_order: int, max_degree: int) -> int:
-    return sum(
+def toeplitz_minor(seed: Seed, rows, cols) -> Fraction:
+    """One exact minor of [a_{j-i}], by Bareiss on the lcm-scaled integer entries."""
+    rows, cols = tuple(rows), tuple(cols)
+    if len(rows) != len(cols):
+        raise ValueError("minor needs equally many rows and columns")
+    matrix = [[seed.a_coeff(j - i) for j in cols] for i in rows]
+    scale = lcm(*(x.denominator for row in matrix for x in row), 1)
+    det = det_int_bareiss([[int(x * scale) for x in row] for row in matrix])
+    return Fraction(det, scale ** len(rows))
+
+
+def check_minor_budget(max_order: int, max_degree: int, budget: int) -> None:
+    """BudgetError if a sweep to (max_order, max_degree) indexes more than
+    budget minors, skipped ones included; it counts minors, not memory."""
+    count = sum(
         comb(max_degree + 1, r) ** 2
         for r in range(1, min(max_order, max_degree + 1) + 1)
     )
+    if count > budget:
+        raise BudgetError(
+            f"{count} minors exceed the budget of {budget}; "
+            "shrink max_order/max_degree or raise minor_budget"
+        )
 
 
 def toeplitz_minors(
@@ -120,8 +137,8 @@ def toeplitz_minors(
     one k-term dot product.  The negative classes are sorted and then
     re-expanded shift by shift, which lists violations in (order, rows,
     cols) lexicographic order.
-    The budget counts the full index set, skipped minors included, and is
-    checked before any work.  Exact arithmetic throughout.
+    The budget (``check_minor_budget``) is checked before any work.
+    Exact arithmetic throughout.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
@@ -131,12 +148,7 @@ def toeplitz_minors(
         raise PrecisionError(
             f"degree {max_degree} beyond seed precision {seed.precision}"
         )
-    count = _minor_count(max_order, max_degree)
-    if count > minor_budget:
-        raise BudgetError(
-            f"{count} minors exceed the budget of {minor_budget}; "
-            "shrink max_order/max_degree or raise minor_budget"
-        )
+    check_minor_budget(max_order, max_degree, minor_budget)
     size = max_degree + 1
     scale = lcm(*(seed.a_coeff(k).denominator for k in range(size)), 1)
     entries = [int(seed.a_coeff(k) * scale) for k in range(size)]

@@ -9,8 +9,9 @@ construction routes are implemented so that disagreement localizes bugs:
 * the hom route           [b_lam] R_n = phi(dual of b_lam), where phi is
   the algebra map sending h_k to a_k: Jacobi-Trudi for s, and for h
   (and e, on the omega seed) a recurrence over partitions in which phi
-  meets only power sums and monomials.  Neither touches the transition
-  tables of ``convert``.
+  meets only power sums and monomials; neither touches ``convert``.
+  Both are memoized on the seed and recurse at most l(lam) deep, and
+  ``schur_coeff`` reads the s one.
 
 Here b_n are the log coefficients, log F(t) = sum_n b_n t^n / n; they are
 derived once at seed construction.
@@ -21,12 +22,11 @@ disagree, rather than returning a silently wrong value.
 """
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import ConsistencyError, PrecisionError
-from .linalg import det_int_bareiss
-from .partitions import Partition, enumerate_partitions, z_of
+from .partitions import EMPTY, Partition, enumerate_partitions, z_of
 from .series import (
     Poly,
     Series,
@@ -56,8 +56,8 @@ class Seed:
 
     ``a`` holds the series coefficients (a_0 = 1 enforced); ``b[n]`` is
     n times the n-th log coefficient, with the convention b[0] = 1.
-    ``_memo`` holds the hom route's tables for this seed (see
-    ``expansion_in``), grown on demand.
+    ``_memo`` maps "s" and "h" to the hom route's memos (partition ->
+    ``_schur`` or ``_hom`` value), and "omega" to the omega seed.
     """
 
     __slots__ = ("a", "b", "name", "_memo")
@@ -72,7 +72,7 @@ class Seed:
             for n in range(a.precision + 1)
         )
         self.name = name
-        self._memo = {}
+        self._memo = {"s": {EMPTY: Fraction(1)}, "h": {EMPTY: Fraction(1)}}
 
     @property
     def precision(self) -> int:
@@ -123,23 +123,11 @@ def sprout_p(seed: Seed, n: int) -> SymFunc:
     return SymFunc(Basis.P, n, terms)
 
 
-def toeplitz_minor(seed: Seed, rows, cols) -> Fraction:
-    """One exact minor of [a_{j-i}], by Bareiss on the lcm-scaled integer entries."""
-    rows, cols = tuple(rows), tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    matrix = [[seed.a_coeff(j - i) for j in cols] for i in rows]
-    scale = lcm(*(x.denominator for row in matrix for x in row), 1)
-    det = det_int_bareiss([[int(x * scale) for x in row] for row in matrix])
-    return Fraction(det, scale ** len(rows))
-
-
 def schur_coeff(seed: Seed, lam) -> Fraction:
-    """<R_n, s_lam> = det[a_{lam_i - i + j}], the Toeplitz minor with rows i - lam_i."""
+    """<R_n, s_lam> = det[a_{lam_i - i + j}], read from the seed's Schur memo."""
     lam = Partition(lam)
     _check_degree(seed, lam.n)
-    rows = [i - part for i, part in enumerate(lam)]
-    return toeplitz_minor(seed, rows, range(len(lam)))
+    return _schur(seed, seed._memo["s"], lam)
 
 
 def phi_hom(seed: Seed, f: SymFunc) -> Fraction:
@@ -152,56 +140,44 @@ def phi_hom(seed: Seed, f: SymFunc) -> Fraction:
     return acc
 
 
-def _levels(seed: Seed, key: str, n: int, step) -> list:
-    """The memo ``key`` of seed, grown to degree n: levels[k][lam] for lam |- k.
-
-    ``step(seed, levels, lam)`` may read any lower level and, in the
-    current level, any partition before lam in canonical order.
-    """
-    levels = seed._memo.setdefault(key, [])
-    for k in range(len(levels), n + 1):
-        level = {}
-        levels.append(level)
-        for lam in enumerate_partitions(k):
-            level[lam] = step(seed, levels, lam)
-    return levels
-
-
-def _schur_step(seed: Seed, levels: list, lam: Partition) -> Fraction:
-    """det[a_{lam_i - i + j}] expanded along its last column.
+def _schur(seed: Seed, memo: dict, lam) -> Fraction:
+    """det[a_{lam_i - i + j}] expanded along its last column, memoized in memo.
 
     Deleting row i and the last column leaves the Jacobi-Trudi matrix of
     mu = (lam_1, ..., lam_{i-1}, lam_{i+1} - 1, ..., lam_l - 1); trailing
-    zero parts add a unitriangular block, so they are dropped.
+    zero parts add a unitriangular block, so they are dropped.  mu has
+    one part fewer than lam, so the recursion is at most l(lam) deep.
     """
-    if not lam:
-        return Fraction(1)
-    ell, acc = len(lam), Fraction(0)
-    for i, part in enumerate(lam):
-        d = part + ell - 1 - i
-        a = seed.a_coeff(d)
-        if a:
-            mu = lam[:i] + tuple(p - 1 for p in lam[i + 1 :] if p > 1)
-            term = a * levels[lam.n - d][mu]
-            acc += -term if (ell - 1 - i) % 2 else term
-    return acc
+    value = memo.get(lam)
+    if value is None:
+        ell, value = len(lam), Fraction(0)
+        for i, part in enumerate(lam):
+            a = seed.a_coeff(part + ell - 1 - i)
+            if a:
+                mu = lam[:i] + tuple(p - 1 for p in lam[i + 1 :] if p > 1)
+                term = a * _schur(seed, memo, mu)
+                value += -term if (ell - 1 - i) % 2 else term
+        memo[lam] = value
+    return value
 
 
-def _hom_step(seed: Seed, levels: list, nu: Partition) -> Fraction:
+def _hom(seed: Seed, memo: dict, nu) -> Fraction:
     """phi(m~_nu) for the augmented monomial m~_nu = m_nu * prod_i m_i(nu)!.
 
     With k the smallest part and nu = mu + (k), p_k m~_mu = m~_nu +
     sum_r m~_{mu + k e_r} over the positions r of mu, and phi(p_k) = b_k.
-    Every mu + k e_r dominates nu, so it precedes nu in canonical order.
+    Every partition read has one part fewer than nu, so the recursion is
+    at most l(nu) deep.  Memoized in memo.
     """
-    if not nu:
-        return Fraction(1)
-    k, mu, n = nu[-1], nu[:-1], nu.n
-    acc = seed.b_coeff(k) * levels[n - k][mu]
-    for r, part in enumerate(mu):
-        grown = sorted(mu[:r] + (part + k,) + mu[r + 1 :], reverse=True)
-        acc -= levels[n][tuple(grown)]
-    return acc
+    value = memo.get(nu)
+    if value is None:
+        k, mu = nu[-1], nu[:-1]
+        value = seed.b_coeff(k) * _hom(seed, memo, mu)
+        for r, part in enumerate(mu):
+            grown = sorted(mu[:r] + (part + k,) + mu[r + 1 :], reverse=True)
+            value -= _hom(seed, memo, tuple(grown))
+        memo[nu] = value
+    return value
 
 
 def expansion_in(seed: Seed, n: int, basis: Basis) -> SymFunc:
@@ -209,11 +185,11 @@ def expansion_in(seed: Seed, n: int, basis: Basis) -> SymFunc:
 
     m and p are the closed forms.  s is the Jacobi-Trudi determinant
     det[a_{lam_i - i + j}], expanded along its last column into smaller
-    shapes.  Since R_n = sum_nu phi(m_nu) h_nu by the Cauchy identity, h
-    is phi on augmented monomials (``_hom_step``), and e is h on the
-    omega seed 1/F(-t).  The s and h memos live on the seed and cover
-    every partition of size <= n, so a sweep over degrees fills each
-    once.  Agrees exactly with converting the monomial route.
+    shapes (``_schur``, which ``schur_coeff`` also reads).  Since R_n =
+    sum_nu phi(m_nu) h_nu by the Cauchy identity, h is phi on augmented
+    monomials (``_hom``), and e is h on the omega seed 1/F(-t).  Both
+    memos live on the seed, so a sweep computes each partition once.
+    Agrees exactly with converting the monomial route.
     """
     _check_degree(seed, n)
     if basis is Basis.M:
@@ -221,14 +197,18 @@ def expansion_in(seed: Seed, n: int, basis: Basis) -> SymFunc:
     if basis is Basis.P:
         return sprout_p(seed, n)
     if basis is Basis.S:
-        return SymFunc(basis, n, _levels(seed, "s", n, _schur_step)[n])
+        memo = seed._memo["s"]
+        terms = {lam: _schur(seed, memo, lam) for lam in enumerate_partitions(n)}
+        return SymFunc(basis, n, terms)
     if basis is Basis.E:
         if "omega" not in seed._memo:
             seed._memo["omega"] = omega_seed(seed)
         seed = seed._memo["omega"]
+    memo = seed._memo["h"]
     terms = {
-        nu: c / prod(factorial(m) for m in nu.multiplicities().values())
-        for nu, c in _levels(seed, "h", n, _hom_step)[n].items()
+        nu: _hom(seed, memo, nu)
+        / prod(factorial(m) for m in nu.multiplicities().values())
+        for nu in enumerate_partitions(n)
     }
     return SymFunc(basis, n, terms)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sproutsym
-from sproutsym import oracles, sprout, suites
+from sproutsym import cli, oracles, sprout, suites
 from sproutsym.cli import render_latex, render_text, run
 from sproutsym.errors import ConsistencyError
 from sproutsym.seeds import seed_by_name
@@ -357,6 +357,22 @@ class TestExitCodes:
         assert out == ""
         assert "length 14 exceeds the budget of 12" in err
         assert walks == []
+
+    @pytest.mark.parametrize("decimate", ["1", "2"])
+    def test_minor_budget_checked_before_the_seed_is_built(self, capsys, monkeypatch, decimate):
+        built = []
+        real = cli.seed_by_name
+        monkeypatch.setattr(
+            cli, "seed_by_name", lambda *args: built.append(args) or real(*args)
+        )
+        code, out, err = invoke(
+            capsys, "positivity", "--seed", "secsqrt", "--degree", "400",
+            "--decimate", decimate,
+        )
+        assert code == 3
+        assert out == ""
+        assert "exceed the budget of 3000000" in err
+        assert built == []
 
     @pytest.mark.parametrize(
         "argv",

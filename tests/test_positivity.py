@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sproutsym.errors import BudgetError, PrecisionError
 from sproutsym.partitions import Partition, enumerate_partitions
 from sproutsym.positivity import (
-    _minor_count,
     decimation_check,
     expansion_positivity,
     toeplitz_minor,
@@ -113,6 +112,7 @@ class TestMinorSweep:
 
 class TestStraightShapeConsistency:
     def test_minor_equals_schur_coefficient(self):
+        # the Jacobi-Trudi recurrence behind schur_coeff against Bareiss:
         # rows lam_1 - 1 - lam_i + i and cols lam_1 - 1 + j (1-based i, j)
         # pick det[a_(lam_i - i + j)] out of the Toeplitz matrix
         for name in ("secsqrt", "qfn", "l_genus"):
@@ -172,7 +172,11 @@ class TestSweepMatchesBruteForce:
     def test_budget_edge(self):
         seed = seed_by_name("geom", 7)
         for order, degree in ((1, 0), (2, 5), (3, 7)):
-            count = _minor_count(order, degree)
+            # every (rows, cols) pair of each order up to order, skipped ones included
+            count = sum(
+                len(list(combinations(range(degree + 1), r))) ** 2
+                for r in range(1, order + 1)
+            )
             toeplitz_minors(seed, order, degree, minor_budget=count)
             with pytest.raises(BudgetError):
                 toeplitz_minors(seed, order, degree, minor_budget=count - 1)

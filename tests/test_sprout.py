@@ -139,9 +139,15 @@ class TestExpansionIn:
             max_size=10,
         ),
         n=st.integers(0, 10),
+        pick=st.integers(0, 200),
     )
-    def test_matches_convert_for_random_seeds(self, tail, n):
+    def test_matches_convert_for_random_seeds(self, tail, n, pick):
         seed = Seed(Series([1, *tail]))
+        # one schur_coeff read first leaves a partly filled memo, which must
+        # not change what expansion_in reads off it
+        shapes = enumerate_partitions(n)
+        schur_coeff(seed, shapes[pick % len(shapes)])
+        assert expansion_in(seed, n, Basis.S) == expansion_in(Seed(seed.a), n, Basis.S)
         # degree n first, so the lower degrees are read from the memo it filled
         for k in range(n, -1, -1):
             r_k = sprout_m(seed, k)
@@ -185,6 +191,12 @@ class TestSchurCoeff:
         seed = seed_by_name("secsqrt", 4)
         assert schur_coeff(seed, Partition((2,))) == Fraction(5, 24)
         assert schur_coeff(seed, Partition((1, 1))) == Fraction(1, 24)
+
+    def test_recursion_is_as_deep_as_the_shape_is_long(self):
+        # (1^400) recurses through (1^399), ..., (1): 400 calls deep
+        column = Partition((1,) * 400)
+        assert schur_coeff(seed_by_name("one_plus_t", 400), column) == 1
+        assert schur_coeff(seed_by_name("geom", 400), column) == 0
 
     def test_matches_scalar_product(self):
         for seed in catalog(6):
