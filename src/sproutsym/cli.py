@@ -47,6 +47,10 @@ from .sprout import (
 from .suites import SUITE_DEFAULTS, SUITES, run_checks
 from .symfunc import Basis, SymFunc, convert, scale
 
+# Highest degree R_n a special op may build (nmax, k*nmax, i+j or n),
+# checked before the seed is built.
+SPECIAL_DEGREE_BUDGET = 24
+
 
 def _parse_partition(text: str) -> Partition:
     text = text.strip().strip("[]()")
@@ -197,7 +201,7 @@ def cmd_positivity(args) -> int:
         report = decimation_check(seed, args.decimate, args.minor_order, args.degree)
     else:
         report = toeplitz_minors(seed, args.minor_order, args.degree)
-    _emit_json(report.to_json_obj())
+    print(report.to_json())
     if args.basis is not None:
         expansion = expansion_positivity(
             seed, args.nmax, Basis.from_letter(args.basis)
@@ -215,23 +219,32 @@ def cmd_special(args) -> int:
 
     if args.op == "hk" and args.k < 1:
         raise ValueError(f"argument --k: must be at least 1 for --op hk, got {args.k}")
+    degree = {
+        "sn": args.nmax,
+        "ones": args.nmax,
+        "hk": args.k * args.nmax,
+        "hpair": args.i + args.j,
+        "hooks": args.n,
+    }[args.op]
+    if degree > SPECIAL_DEGREE_BUDGET:
+        raise BudgetError(
+            f"degree {degree} exceeds the special budget of {SPECIAL_DEGREE_BUDGET}"
+        )
+    seed = seed_by_name(args.seed, degree)
     if args.op == "sn":
-        series = special_sn(seed_by_name(args.seed, args.nmax), args.nmax)
-        emit_series(series)
+        emit_series(special_sn(seed, args.nmax))
     elif args.op == "ones":
-        series = special_ones(seed_by_name(args.seed, args.nmax), args.nmax, args.k)
-        emit_series(series)
+        emit_series(special_ones(seed, args.nmax, args.k))
     elif args.op == "hk":
-        series = special_hk_series(seed_by_name(args.seed, args.k * args.nmax), args.k, args.nmax)
-        emit_series(series)
+        emit_series(special_hk_series(seed, args.k, args.nmax))
     elif args.op == "hpair":
-        value = special_h_pair(seed_by_name(args.seed, args.i + args.j), args.i, args.j)
+        value = special_h_pair(seed, args.i, args.j)
         if args.format == "json":
             _emit_json(rat_str(value, always_slash=True))
         else:
             print(rat_str(value))
     else:  # hooks
-        poly = special_hooks(seed_by_name(args.seed, args.n), args.n)
+        poly = special_hooks(seed, args.n)
         if args.format == "json":
             _emit_json([rat_str(c, always_slash=True) for c in poly])
         else:

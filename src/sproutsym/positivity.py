@@ -15,13 +15,16 @@ does not change when rows and cols shift together, so it is evaluated
 once per shift class.  Order k is built from order k - 1 by a cofactor
 expansion along the last row, which keeps rows[0] = 0, so every
 cofactor is one of the previous order's stored nonzero classes and each
-new last row costs one k-term dot product.  The negative classes are
-sorted and re-emitted shift by shift, so the report lists every negative
-(rows, cols) in the same order as a sweep over all pairs would.  A
-single minor (``toeplitz_minor``) is computed by Bareiss elimination, an
-independent referee for the sweep and for ``sprout.schur_coeff``.
+new last row costs one k-term dot product.  The report keeps only the
+sorted negative classes, one Fraction each; it lists their shifts on
+demand (``MinorReport.violations``), in the same order as a sweep over
+all pairs would, and its JSON writer formats each class's determinant
+once.  A single minor (``toeplitz_minor``) is computed by Bareiss
+elimination, an independent referee for the sweep and for
+``sprout.schur_coeff``.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -36,30 +39,85 @@ from .symfunc import Basis
 DEFAULT_MINOR_BUDGET = 3_000_000
 
 
+def _shifts(classes, size):
+    """(t, the classes of one order that still fit shifted by t), in report order.
+
+    A class fits while cols[-1] + t < size; fewer fit as t grows.
+    """
+    for fitting in classes:
+        for t in range(size):
+            fitting = [c for c in fitting if c[1][-1] + t < size]
+            if not fitting:
+                break
+            yield t, fitting
+
+
+class _ShiftedText(dict):
+    """Index tuples shifted by t, as JSON list text, each formatted once."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def __missing__(self, indices):
+        text = self[indices] = str([i + self.t for i in indices])
+        return text
+
+
 class MinorReport(NamedTuple):
-    """Every violation found while sweeping Toeplitz minors."""
+    """The negative minors of a sweep, kept as shift classes.
+
+    ``classes[k - 1]`` holds the negative classes of order k, sorted, each
+    as its representative (rows, cols, value) with rows[0] = 0 and one
+    Fraction.  The minor at (rows + t, cols + t) has the same value for
+    every shift t with cols[-1] + t <= max_degree.  ``violations`` lists
+    all of them in (order, rows, cols) order; ``to_json`` writes them
+    without building them.
+    """
 
     max_order: int
     max_degree: int
-    violations: tuple
-    passed: bool
+    classes: tuple
     note: str = ""
 
-    def to_json_obj(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "max_degree": self.max_degree,
-            "violations": [
-                {
-                    "rows": list(rows),
-                    "cols": list(cols),
-                    "determinant": rat_str(value, always_slash=True),
-                }
-                for rows, cols, value in self.violations
-            ],
-            "passed": self.passed,
-            "note": self.note,
-        }
+    @property
+    def violations(self) -> tuple:
+        """Every negative (rows, cols, value), each shift of each class."""
+        return tuple(
+            (tuple(i + t for i in rows), tuple(j + t for j in cols), value)
+            for t, fitting in _shifts(self.classes, self.max_degree + 1)
+            for rows, cols, value in fitting
+        )
+
+    @property
+    def passed(self) -> bool:
+        return not any(self.classes)
+
+    def to_json(self) -> str:
+        """The report as one JSON object: max_order, max_degree, violations
+        (each {"rows", "cols", "determinant": "p/q"}), passed, note.
+
+        Each class's determinant is formatted once and each shifted index
+        tuple once per shift; no per-violation object is built.
+        """
+        classes = [
+            [
+                (rows, cols, f'"determinant": "{rat_str(value, always_slash=True)}"}}')
+                for rows, cols, value in negative
+            ]
+            for negative in self.classes
+        ]
+        items = []
+        for t, fitting in _shifts(classes, self.max_degree + 1):
+            text = _ShiftedText(t)
+            items.extend(
+                f'{{"rows": {text[rows]}, "cols": {text[cols]}, {determinant}'
+                for rows, cols, determinant in fitting
+            )
+        return (
+            f'{{"max_order": {self.max_order}, "max_degree": {self.max_degree}, '
+            f'"violations": [{", ".join(items)}], "passed": {json.dumps(self.passed)}, '
+            f'"note": {json.dumps(self.note)}}}'
+        )
 
 
 class PositivityReport(NamedTuple):
@@ -134,9 +192,9 @@ def toeplitz_minors(
     rows[0] = 0, so every cofactor M is a class of order k - 1 as the
     previous order stored it (a missing key is a structural zero).  The
     cofactors depend only on (rows[:-1], cols), so every last row r costs
-    one k-term dot product.  The negative classes are sorted and then
-    re-expanded shift by shift, which lists violations in (order, rows,
-    cols) lexicographic order.
+    one k-term dot product.  The report keeps the sorted negative classes;
+    its ``violations`` lists them shift by shift in (order, rows, cols)
+    lexicographic order.
     The budget (``check_minor_budget``) is checked before any work.
     Exact arithmetic throughout.
     """
@@ -153,7 +211,7 @@ def toeplitz_minors(
     scale = lcm(*(seed.a_coeff(k).denominator for k in range(size)), 1)
     entries = [int(seed.a_coeff(k) * scale) for k in range(size)]
     top = min(max_order, size)
-    violations = []
+    classes = []
     previous = {(): {(): 1}}  # previous order's nonzero classes: rows -> {cols: det}
     for order in range(1, top + 1):
         back = scale**order
@@ -187,17 +245,9 @@ def toeplitz_minors(
                             negative.append((rows, cols, Fraction(det, back)))
         previous = current
         negative.sort()
-        for t in range(size):
-            violations.extend(
-                (tuple(i + t for i in rows), tuple(j + t for j in cols), value)
-                for rows, cols, value in negative
-                if cols[-1] + t < size
-            )
+        classes.append(tuple(negative))
     return MinorReport(
-        max_order=max_order,
-        max_degree=max_degree,
-        violations=tuple(violations),
-        passed=not violations,
+        max_order=max_order, max_degree=max_degree, classes=tuple(classes)
     )
 
 

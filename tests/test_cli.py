@@ -375,6 +375,33 @@ class TestExitCodes:
         assert built == []
 
     @pytest.mark.parametrize(
+        "op",
+        [
+            ("hooks", "--n", "1000"),
+            ("sn", "--nmax", "25"),
+            ("ones", "--k", "3", "--nmax", "25"),
+            ("hk", "--k", "5", "--nmax", "5"),
+            ("hpair", "--i", "13", "--j", "12"),
+        ],
+    )
+    def test_special_budget_checked_before_the_seed_is_built(self, capsys, monkeypatch, op):
+        built = []
+        monkeypatch.setattr(cli, "seed_by_name", lambda *args: built.append(args))
+        code, out, err = invoke(capsys, "special", "--seed", "one_plus_t", "--op", *op)
+        assert code == 3
+        assert out == ""
+        assert "exceeds the special budget of 24" in err
+        assert built == []
+
+    def test_special_budget_admits_degree_24(self, capsys):
+        code, out, _ = invoke(
+            capsys, "special", "--seed", "one_plus_t", "--op", "hooks", "--n", "24"
+        )
+        assert code == 0
+        # (1 + t)/(1 - ut): the only hook of R_24 with a nonzero coefficient is (1^24)
+        assert out.strip() == "u^23"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("oracle", "--op", "alt-count", "--n", "13"),

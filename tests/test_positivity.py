@@ -16,7 +16,7 @@ from sproutsym.positivity import (
     toeplitz_minors,
 )
 from sproutsym.seeds import seed_by_name
-from sproutsym.series import Series, exp_series, inverse, mul
+from sproutsym.series import Series, exp_series, inverse, mul, rat_str
 from sproutsym.sprout import Seed, schur_coeff, sprout_m
 from sproutsym.symfunc import Basis, convert
 
@@ -88,6 +88,12 @@ class TestMinorSweep:
         ordered = sorted(report.violations, key=lambda v: (len(v[0]), v[0], v[1]))
         assert list(report.violations) == ordered
 
+    def test_report_keeps_class_representatives(self):
+        report = toeplitz_minors(seed_by_name("l_genus", 10), 4, 10)
+        kept = [c for negative in report.classes for c in negative]
+        assert all(rows[0] == 0 for rows, _, _ in kept)
+        assert len(kept) == 11435 < len(report.violations) == 20820
+
     def test_budget_guard(self):
         seed = seed_by_name("geom", 12)
         with pytest.raises(BudgetError):
@@ -103,7 +109,7 @@ class TestMinorSweep:
 
     def test_json_round_trip(self):
         report = toeplitz_minors(witness_seed(4), 2, 4)
-        text = json.dumps(report.to_json_obj())
+        text = report.to_json()
         assert json.dumps(json.loads(text)) == text
         parsed = json.loads(text)
         assert parsed["passed"] is False
@@ -231,6 +237,35 @@ class TestProperties:
         degree = len(coeffs) // 2
         report = decimation_check(seed, 2, order, degree)
         assert list(report.violations) == brute_violations(seed, order, degree, step=2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), order=st.integers(1, 4), degree=st.integers(0, 8),
+           step=st.integers(1, 2))
+    def test_writer_matches_dumped_violations(self, data, order, degree, step):
+        coeffs = data.draw(st.lists(COEFF, min_size=step * degree, max_size=step * degree))
+        seed = Seed(Series([1, *coeffs]))
+        if step == 1:
+            report = toeplitz_minors(seed, order, degree)
+        else:
+            report = decimation_check(seed, step, order, degree)
+        text = report.to_json()
+        assert text == json.dumps({
+            "max_order": order,
+            "max_degree": degree,
+            "violations": [
+                {
+                    "rows": list(rows),
+                    "cols": list(cols),
+                    "determinant": rat_str(value, always_slash=True),
+                }
+                for rows, cols, value in report.violations
+            ],
+            "passed": report.passed,
+            "note": report.note,
+        })
+        assert report.passed == (not report.violations)
+        if report.passed:
+            assert '"violations": []' in text
 
     @settings(deadline=None, max_examples=60)
     @given(coeffs=st.lists(COEFF, min_size=8, max_size=8),
