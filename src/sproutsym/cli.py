@@ -51,6 +51,17 @@ from .symfunc import Basis, SymFunc, convert, scale
 # checked before the seed is built.
 SPECIAL_DEGREE_BUDGET = 24
 
+# Highest seed precision expand (n) and positivity (max(degree*decimate,
+# nmax)) may build, checked before the seed is built.
+PRECISION_BUDGET = 36
+
+
+def _check_precision_budget(precision: int) -> None:
+    if precision > PRECISION_BUDGET:
+        raise BudgetError(
+            f"precision {precision} exceeds the precision budget of {PRECISION_BUDGET}"
+        )
+
 
 def _parse_partition(text: str) -> Partition:
     text = text.strip().strip("[]()")
@@ -154,6 +165,7 @@ def _poly_text(poly) -> str:
 
 
 def cmd_expand(args) -> int:
+    _check_precision_budget(args.n)
     seed = seed_by_name(args.seed, args.n)
     f = expansion_in(seed, args.n, Basis.from_letter(args.basis))
     if args.scale == "fact2n":
@@ -196,6 +208,7 @@ def cmd_positivity(args) -> int:
         raise ValueError("--basis needs --nmax")
     check_minor_budget(args.minor_order, args.degree, DEFAULT_MINOR_BUDGET)
     precision = max(args.degree * args.decimate, args.nmax or 0)
+    _check_precision_budget(precision)
     seed = seed_by_name(args.seed, precision)
     if args.decimate > 1:
         report = decimation_check(seed, args.decimate, args.minor_order, args.degree)

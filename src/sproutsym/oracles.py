@@ -420,12 +420,12 @@ def chromatic_sym(graph: Graph, degree: int) -> SymFunc:
             f"{degree} vertices exceed the chromatic budget of {_CHROMATIC_BUDGET}"
         )
     adj = graph.adjacency()
-    counts: dict[Partition, int] = {}
+    counts: dict[tuple, int] = {}
     blocks: list[set] = []
 
     def assign(v: int) -> None:
         if v == graph.vertex_count:
-            lam = Partition(sorted((len(b) for b in blocks), reverse=True))
+            lam = tuple(sorted((len(b) for b in blocks), reverse=True))
             counts[lam] = counts.get(lam, 0) + 1
             return
         for block in blocks:
@@ -438,11 +438,12 @@ def chromatic_sym(graph: Graph, degree: int) -> SymFunc:
         blocks.pop()
 
     if degree == 0:
-        counts[Partition()] = 1
+        counts[()] = 1
     else:
         assign(0)
     terms = {}
     for lam, count in counts.items():
+        lam = Partition(lam)
         weight = count
         for m in lam.multiplicities().values():
             weight *= factorial(m)

@@ -113,8 +113,3 @@ def multinomial(n: int, parts) -> int:
     for p in parts:
         out //= factorial(p)
     return out
-
-
-def union(a, b) -> Partition:
-    """Multiset union of two partitions (sorted merge of their parts)."""
-    return Partition(sorted(tuple(a) + tuple(b), reverse=True))

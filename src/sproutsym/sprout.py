@@ -33,11 +33,9 @@ from .series import (
     exp_series,
     inverse,
     log_series,
-    mul,
     negate_arg,
     poly_div_one_plus_u,
     poly_trim,
-    power,
 )
 from .series import decimate as series_decimate
 from .symfunc import (
@@ -265,8 +263,7 @@ def special_hk_series(seed: Seed, k: int, n_max: int) -> Series:
     )
     closed = inverse(exp_series(sub_log))
     for n in range(n_max + 1):
-        column = Partition((k,) * n)
-        generic = convert(sprout_m(seed, k * n), Basis.H).coeff(column)
+        generic = convert(sprout_m(seed, k * n), Basis.H).coeff((k,) * n)
         _consistent(f"[h_{k}^{n}]R_{k * n}", closed.coeff(n), generic)
     return closed
 
@@ -281,26 +278,32 @@ def special_h_pair(seed: Seed, i: int, j: int) -> Fraction:
         closed = seed.b_coeff(i) * seed.b_coeff(j) - seed.b_coeff(n)
     else:
         closed = (seed.b_coeff(i) ** 2 - seed.b_coeff(n)) / 2
-    column = Partition(sorted((i, j), reverse=True))
-    generic = convert(sprout_m(seed, n), Basis.H).coeff(column)
+    generic = convert(sprout_m(seed, n), Basis.H).coeff((max(i, j), min(i, j)))
     return _consistent(f"[h_{i}h_{j}]R_{n}", closed, generic)
 
 
 def special_ones(seed: Seed, n_max: int, k: int) -> Series:
-    """Series of R_n(1^k), which equals F(t)^k coefficientwise."""
+    """Series of R_n(1^k), which equals F(t)^k coefficientwise.
+
+    Closed form: F(t)^k = exp(k log F(t)) = exp(k sum_n b_n t^n / n), read
+    from the seed's log coefficients, so neither side costs more as k
+    grows.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_degree(seed, n_max)
-    closed = power(seed.a.truncate(n_max), k)
+    closed = exp_series(
+        Series([Fraction(0)] + [k * seed.b[n] / n for n in range(1, n_max + 1)])
+    )
     for n in range(n_max + 1):
         generic = principal_specialize(sprout_m(seed, n), k)
         _consistent(f"R_{n}(1^{k})", closed.coeff(n), generic)
     return closed
 
 
-def _hook(n: int, k: int) -> Partition:
+def _hook(n: int, k: int) -> tuple:
     """The hook partition (n-k, 1^k) of n."""
-    return Partition((n - k,) + (1,) * k)
+    return (n - k,) + (1,) * k
 
 
 def _hook_numerator(seed: Seed, n: int) -> Poly:

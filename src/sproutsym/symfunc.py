@@ -16,15 +16,18 @@ Hall pairing (``_pairings``) of a vector with every row:
   sends h_lam to e_lam.
 
 Table values are ints and coefficients Fractions, so round trips are
-exact equalities, not approximations.
+exact equalities, not approximations.  The tables key their rows by plain
+weakly decreasing tuples, built by sorting and slicing; a tuple and the
+Partition with the same parts are equal dict keys.  ``SymFunc.__init__``
+is the one place where those keys are checked and become Partitions.
 """
 
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, perm
 
-from .partitions import EMPTY, Partition, conjugate, enumerate_partitions, union, z_of
+from .partitions import Partition, conjugate, enumerate_partitions, z_of
 from .series import rat_str
 
 
@@ -149,7 +152,8 @@ def _union_product(f: dict, g: dict) -> dict:
     mu -> lam + mu is injective, so each term of f contributes one vector.
     """
     return _lincomb(
-        ({union(lam, mu): d for mu, d in g.items()}, c) for lam, c in f.items()
+        ({tuple(sorted(lam + mu, reverse=True)): d for mu, d in g.items()}, c)
+        for lam, c in f.items()
     )
 
 
@@ -159,36 +163,31 @@ def _mul_m_by_p(mvec: dict, r: int) -> dict:
     For each term m_mu, the product redistributes over partitions nu
     obtained by growing one part of mu by r or appending a new part r;
     the coefficient picked up is the multiplicity of the grown value
-    in nu.
+    in nu.  Parts of mu are sorted, so equal parts are neighbours and each
+    value is grown once.
     """
-    out: dict[Partition, int] = {}
+    out: dict[tuple, int] = {}
     for mu, c in mvec.items():
-        seen: set[int] = set()
-        for s in mu:
-            if s in seen:
+        for i, s in enumerate(mu):
+            if i and mu[i - 1] == s:
                 continue
-            seen.add(s)
-            grown = list(mu)
-            grown.remove(s)
-            nu = Partition(sorted(grown + [s + r], reverse=True))
-            mult = sum(1 for v in nu if v == s + r)
-            out[nu] = out.get(nu, 0) + c * mult
-        nu = union(mu, (r,))
-        mult = sum(1 for v in nu if v == r)
-        out[nu] = out.get(nu, 0) + c * mult
+            nu = tuple(sorted(mu[:i] + (s + r,) + mu[i + 1 :], reverse=True))
+            out[nu] = out.get(nu, 0) + c * nu.count(s + r)
+        nu = tuple(sorted(mu + (r,), reverse=True))
+        out[nu] = out.get(nu, 0) + c * nu.count(r)
     return {lam: c for lam, c in out.items() if c != 0}
 
 
 @cache
-def _p_in_m(lam: Partition) -> dict:
+def _p_in_m(lam: tuple) -> dict:
     """Expansion of p_lam in the monomial basis (integer coefficients)."""
     if not lam:
-        return {EMPTY: 1}
-    return _mul_m_by_p(_p_in_m(Partition(lam[1:])), lam[0])
+        return {(): 1}
+    return _mul_m_by_p(_p_in_m(lam[1:]), lam[0])
 
 
 @cache
-def _p_in_h(lam: Partition) -> dict:
+def _p_in_h(lam: tuple) -> dict:
     """Expansion of p_lam in the complete homogeneous basis (integer coefficients).
 
     Newton's identity n h_n = sum_{i=1..n} p_i h_{n-i} gives
@@ -196,15 +195,14 @@ def _p_in_h(lam: Partition) -> dict:
     its parts.
     """
     if not lam:
-        return {EMPTY: 1}
+        return {(): 1}
     n = lam[0]
     if len(lam) > 1:
-        return _union_product(_p_in_h(Partition((n,))), _p_in_h(Partition(lam[1:])))
+        return _union_product(_p_in_h((n,)), _p_in_h(lam[1:]))
     lower = (
-        (_union_product({Partition((n - i,)): 1}, _p_in_h(Partition((i,)))), -1)
-        for i in range(1, n)
+        (_union_product({(n - i,): 1}, _p_in_h((i,))), -1) for i in range(1, n)
     )
-    return _lincomb([({lam: n}, 1), *lower])
+    return _lincomb([({(n,): n}, 1), *lower])
 
 
 def _omega_signs(vec: dict) -> dict:
@@ -213,11 +211,12 @@ def _omega_signs(vec: dict) -> dict:
 
 
 @cache
-def _strips(lam: Partition, r: int) -> tuple:
+def _strips(lam: tuple, r: int) -> tuple:
     """Partitions nu with nu / lam a horizontal strip of r boxes.
 
     One new box per column at most: lam_i <= nu_i <= lam_{i-1} in every
-    row, with row 0 unbounded above and one new row below lam.
+    row, with row 0 unbounded above and one new row below lam, which is
+    cut off when it stays empty.
     """
     rows = (*lam, 0)
     states = [((), r)]
@@ -227,19 +226,19 @@ def _strips(lam: Partition, r: int) -> tuple:
             for nu, left in states
             for k in range(min(left, top - row) + 1)
         ]
-    return tuple(Partition(p for p in nu if p) for nu, left in states if left == 0)
+    return tuple(nu if nu[-1] else nu[:-1] for nu, left in states if left == 0)
 
 
 @cache
-def _h_in_s(mu: Partition) -> dict:
+def _h_in_s(mu: tuple) -> dict:
     """Expansion of h_mu in the Schur basis: {lam: K_lam,mu} (Kostka numbers).
 
     Pieri's rule adds a horizontal strip of mu_1 boxes to every shape of
     h_{mu_2, mu_3, ...}.
     """
     if not mu:
-        return {EMPTY: 1}
-    rest = _h_in_s(Partition(mu[1:]))
+        return {(): 1}
+    rest = _h_in_s(mu[1:])
     return _lincomb((dict.fromkeys(_strips(lam, mu[0]), 1), c) for lam, c in rest.items())
 
 
@@ -370,27 +369,22 @@ def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
 
 def dim(f: SymFunc) -> Fraction:
     """<f, p_1^n> for homogeneous f of degree n."""
-    if f.degree == 0:
-        return _to_p_terms(f).get(EMPTY, Fraction(0))
-    ones = Partition((1,) * f.degree)
-    return _to_p_terms(f).get(ones, Fraction(0)) * factorial(f.degree)
+    return _to_p_terms(f).get((1,) * f.degree, Fraction(0)) * factorial(f.degree)
 
 
 def principal_specialize(f: SymFunc, k: int) -> Fraction:
     """Substitute x_1 = ... = x_k = 1 and all later variables 0.
 
     Computed from the monomial expansion: m_lam(1^k) counts the distinct
-    arrangements of lam's parts into k slots.
+    arrangements of lam's parts into k slots, perm(k, l(lam)) / prod_i
+    m_i(lam)!, which is 0 when lam has more than k parts; k! is never
+    formed.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    mvec = convert(f, Basis.M).terms
     acc = Fraction(0)
-    for lam, c in mvec.items():
-        ell = len(lam)
-        if ell > k:
-            continue
-        ways = factorial(k) // factorial(k - ell)
+    for lam, c in convert(f, Basis.M).terms.items():
+        ways = perm(k, len(lam))
         for m in lam.multiplicities().values():
             ways //= factorial(m)
         acc += c * ways

@@ -393,6 +393,14 @@ class TestExitCodes:
         assert "exceeds the special budget of 24" in err
         assert built == []
 
+    def test_precision_budget_admits_degree_36(self, capsys):
+        code, out, _ = invoke(
+            capsys, "expand", "--seed", "secsqrt", "--n", "36", "--basis", "m"
+        )
+        assert code == 0
+        # a_1 = 1/2, so [m_(1^36)] R_36 = 2^-36
+        assert out.startswith(f"1/{2**36}·m[{','.join('1' * 36)}] + ")
+
     def test_special_budget_admits_degree_24(self, capsys):
         code, out, _ = invoke(
             capsys, "special", "--seed", "one_plus_t", "--op", "hooks", "--n", "24"
@@ -481,6 +489,25 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert "malformed seed file" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--seed", "secsqrt", "--n", "37", "--basis", "m"),
+            ("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "1",
+             "--basis", "h", "--nmax", "37"),
+            ("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "2",
+             "--decimate", "3000"),
+        ],
+    )
+    def test_over_precision_budget_before_the_seed_is_built(self, capsys, monkeypatch, argv):
+        built = []
+        monkeypatch.setattr(cli, "seed_by_name", lambda *args: built.append(args))
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "exceeds the precision budget of 36" in err
+        assert built == []
 
     @pytest.mark.parametrize("argv,flag", FLAG_ROWS)
     def test_error_names_the_flag(self, capsys, argv, flag):

@@ -9,7 +9,6 @@ from sproutsym.partitions import (
     conjugate,
     enumerate_partitions,
     multinomial,
-    union,
     z_of,
 )
 
@@ -170,8 +169,3 @@ class TestMultinomial:
             multinomial(5, [3, 3])
         with pytest.raises(ValueError):
             multinomial(5, [6, -1])
-
-
-def test_union():
-    assert union(Partition((3, 1)), Partition((2, 1))) == Partition((3, 2, 1, 1))
-    assert union(EMPTY, Partition((2,))) == Partition((2,))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sproutsym.series
 import sproutsym.sprout as sprout
 from sproutsym.errors import ConsistencyError, PrecisionError
 from sproutsym.partitions import EMPTY, Partition, enumerate_partitions
@@ -330,6 +331,26 @@ class TestSpecials:
         for seed in catalog(5):
             assert special_ones(seed, 5, 1) == seed.a.truncate(5)
         assert special_ones(geom, 4, 3).coeff(2) == 6
+
+    def test_ones_cost_does_not_grow_with_k(self, monkeypatch):
+        # F(t)^k by k products would call series.mul a million times
+        calls = []
+        real_mul = sproutsym.series.mul
+
+        def counted_mul(f, g):
+            calls.append(1)
+            if len(calls) > 10:
+                raise AssertionError("special_ones multiplies series once per k")
+            return real_mul(f, g)
+
+        monkeypatch.setattr(sproutsym.series, "mul", counted_mul)
+        k = 10**6
+        for seed in catalog(8):
+            got = special_ones(seed, 8, k)
+            a1, a2 = seed.a_coeff(1), seed.a_coeff(2)
+            assert got.coeff(0) == 1
+            assert got.coeff(1) == k * a1
+            assert got.coeff(2) == k * a2 + k * (k - 1) // 2 * a1**2
 
     def test_hooks(self):
         sec = seed_by_name("secsqrt", 4)

@@ -134,6 +134,28 @@ class TestConvertBijection:
         assert convert(convert(f, dst), src) == f
 
 
+class TestPartitionKeys:
+    """The tables key rows by plain tuples; every SymFunc key is a Partition."""
+
+    @pytest.mark.parametrize(
+        "src,dst",
+        [(a, b) for a in ALL_BASES for b in ALL_BASES if a is not b],
+        ids=lambda b: b.value,
+    )
+    @settings(deadline=None, max_examples=10)
+    @given(data=st.data(), degree=st.integers(0, 7))
+    def test_convert_keys_are_partitions(self, src, dst, data, degree):
+        f = data.draw(symfuncs(src, degree))
+        assert all(type(lam) is Partition for lam in convert(f, dst).terms)
+
+    def test_product_keys_are_partitions(self):
+        rng = random.Random(7)
+        for basis in ALL_BASES:
+            f, g = random_symfunc(rng, 3, basis), random_symfunc(rng, 4, basis)
+            for h in (multiply(f, g), omega(f)):
+                assert h.terms and all(type(lam) is Partition for lam in h.terms)
+
+
 class TestTransitionTables:
     def test_m_to_p_inverts_p_in_m(self):
         for n in range(13):
@@ -375,6 +397,16 @@ class TestDimAndSpecialize:
                 ) == comb(n + k - 1, n)
         assert principal_specialize(basis_element(Basis.E, (3,)), 2) == 0
         assert principal_specialize(basis_element(Basis.M, (1, 1)), 3) == 3
+
+    def test_principal_specialization_of_monomials_at_large_k(self):
+        # m_lam(1^k) = perm(k, l) / prod_i m_i! = C(k, l) * l! / prod_i m_i!
+        k = 10**5
+        for n in range(7):
+            for lam in enumerate_partitions(n):
+                want = comb(k, len(lam)) * multinomial(
+                    len(lam), lam.multiplicities().values()
+                )
+                assert principal_specialize(basis_element(Basis.M, lam), k) == want
 
 
 class TestElementaryMonomialLemma:
