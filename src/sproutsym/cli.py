@@ -214,7 +214,8 @@ def cmd_positivity(args) -> int:
         report = decimation_check(seed, args.decimate, args.minor_order, args.degree)
     else:
         report = toeplitz_minors(seed, args.minor_order, args.degree)
-    print(report.to_json())
+    report.write_json(sys.stdout)
+    sys.stdout.write("\n")
     if args.basis is not None:
         expansion = expansion_positivity(
             seed, args.nmax, Basis.from_letter(args.basis)

@@ -16,17 +16,20 @@ once per shift class.  Order k is built from order k - 1 by a cofactor
 expansion along the last row, which keeps rows[0] = 0, so every
 cofactor is one of the previous order's stored nonzero classes and each
 new last row costs one k-term dot product.  The report keeps only the
-sorted negative classes, one Fraction each; it lists their shifts on
-demand (``MinorReport.violations``), in the same order as a sweep over
-all pairs would, and its JSON writer formats each class's determinant
-once.  A single minor (``toeplitz_minor``) is computed by Bareiss
-elimination, an independent referee for the sweep and for
-``sprout.schur_coeff``.
+sorted negative classes; within an order they share one Fraction per
+distinct value and one rows tuple per row set, so the report costs
+memory in proportion to its classes and values, not its violations.  It
+lists their shifts on demand (``MinorReport.violations``), in the same
+order as a sweep over all pairs would, and its JSON writer streams them
+in bounded batches, formatting each distinct determinant once.  A single
+minor (``toeplitz_minor``) is computed by Bareiss elimination, an
+independent referee for the sweep and for ``sprout.schur_coeff``.
 """
 
+import io
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -37,6 +40,7 @@ from .sprout import Seed, decimate_seed, expansion_in
 from .symfunc import Basis
 
 DEFAULT_MINOR_BUDGET = 3_000_000
+JSON_BATCH = 1024  # violations per write in MinorReport.write_json
 
 
 def _shifts(classes, size):
@@ -67,11 +71,12 @@ class MinorReport(NamedTuple):
     """The negative minors of a sweep, kept as shift classes.
 
     ``classes[k - 1]`` holds the negative classes of order k, sorted, each
-    as its representative (rows, cols, value) with rows[0] = 0 and one
-    Fraction.  The minor at (rows + t, cols + t) has the same value for
-    every shift t with cols[-1] + t <= max_degree.  ``violations`` lists
-    all of them in (order, rows, cols) order; ``to_json`` writes them
-    without building them.
+    as its representative (rows, cols, value) with rows[0] = 0.  Within an
+    order, equal values are one Fraction object and equal rows one tuple.
+    The minor at (rows + t, cols + t) has the same value for every shift
+    t with cols[-1] + t <= max_degree.  ``violations`` lists all of them
+    in (order, rows, cols) order; ``write_json`` streams them to a text
+    stream without building them, and ``to_json`` returns the same text.
     """
 
     max_order: int
@@ -92,32 +97,49 @@ class MinorReport(NamedTuple):
     def passed(self) -> bool:
         return not any(self.classes)
 
-    def to_json(self) -> str:
-        """The report as one JSON object: max_order, max_degree, violations
-        (each {"rows", "cols", "determinant": "p/q"}), passed, note.
+    def write_json(self, out) -> None:
+        """Write the report to the text stream ``out`` as one JSON object:
+        max_order, max_degree, violations (each {"rows", "cols",
+        "determinant": "p/q"}), passed, note.
 
-        Each class's determinant is formatted once and each shifted index
+        The violations go out ``JSON_BATCH`` to a write, so the text held
+        at once is bounded by a batch, not by the report.
+        """
+        out.write(
+            f'{{"max_order": {self.max_order}, "max_degree": {self.max_degree}, '
+            '"violations": ['
+        )
+        items, separator = self._violation_texts(), ""
+        while batch := list(islice(items, JSON_BATCH)):
+            out.write(separator + ", ".join(batch))
+            separator = ", "
+        out.write(
+            f'], "passed": {json.dumps(self.passed)}, "note": {json.dumps(self.note)}}}'
+        )
+
+    def _violation_texts(self):
+        """Each violation as JSON object text, in ``violations`` order.
+
+        Each distinct determinant object is formatted once (the sweep
+        shares one per value within an order) and each shifted index
         tuple once per shift; no per-violation object is built.
         """
-        classes = [
-            [
-                (rows, cols, f'"determinant": "{rat_str(value, always_slash=True)}"}}')
-                for rows, cols, value in negative
-            ]
-            for negative in self.classes
-        ]
-        items = []
-        for t, fitting in _shifts(classes, self.max_degree + 1):
+        determinants = {}  # id(value) -> text; the report keeps every value alive
+        for t, fitting in _shifts(self.classes, self.max_degree + 1):
             text = _ShiftedText(t)
-            items.extend(
-                f'{{"rows": {text[rows]}, "cols": {text[cols]}, {determinant}'
-                for rows, cols, determinant in fitting
-            )
-        return (
-            f'{{"max_order": {self.max_order}, "max_degree": {self.max_degree}, '
-            f'"violations": [{", ".join(items)}], "passed": {json.dumps(self.passed)}, '
-            f'"note": {json.dumps(self.note)}}}'
-        )
+            for rows, cols, value in fitting:
+                if (det := determinants.get(id(value))) is None:
+                    det = determinants[id(value)] = rat_str(value, always_slash=True)
+                yield (
+                    f'{{"rows": {text[rows]}, "cols": {text[cols]}, '
+                    f'"determinant": "{det}"}}'
+                )
+
+    def to_json(self) -> str:
+        """The text ``write_json`` writes, as one string."""
+        out = io.StringIO()
+        self.write_json(out)
+        return out.getvalue()
 
 
 class PositivityReport(NamedTuple):
@@ -193,8 +215,10 @@ def toeplitz_minors(
     previous order stored it (a missing key is a structural zero).  The
     cofactors depend only on (rows[:-1], cols), so every last row r costs
     one k-term dot product.  The report keeps the sorted negative classes;
-    its ``violations`` lists them shift by shift in (order, rows, cols)
-    lexicographic order.
+    each order shares one Fraction per distinct determinant and one rows
+    tuple per (rows[:-1], r) across all column sets, so equal values and
+    rows are the same objects.  Its ``violations`` lists them shift by
+    shift in (order, rows, cols) lexicographic order.
     The budget (``check_minor_budget``) is checked before any work.
     Exact arithmetic throughout.
     """
@@ -222,7 +246,12 @@ def toeplitz_minors(
         ]
         current = {}
         negative = []
+        values = {}  # det -> Fraction(det, back), one object per distinct value
         for head, minors in previous.items():
+            # the new last row r, shared by every column set; at order 1 it
+            # is the representative's row 0
+            last_rows = range(head[-1] + 1, size) if head else (0,)
+            grown = [(r, head + (r,)) for r in last_rows]
             for cols, keys in drops:
                 terms = [
                     (sign * sub, c)
@@ -231,18 +260,20 @@ def toeplitz_minors(
                 ]
                 if not terms:
                     continue
-                # the new last row; at order 1 it is the representative's row 0
-                for r in range(head[-1] + 1, cols[-1] + 1) if head else (0,):
+                for r, rows in grown:
+                    if r > cols[-1]:
+                        break
                     det = 0
                     for cofactor, c in terms:
                         if c >= r:
                             det += cofactor * entries[c - r]
                     if det:
-                        rows = head + (r,)
                         if order < top:
                             current.setdefault(rows, {})[cols] = det
                         if det < 0:
-                            negative.append((rows, cols, Fraction(det, back)))
+                            if (value := values.get(det)) is None:
+                                value = values[det] = Fraction(det, back)
+                            negative.append((rows, cols, value))
         previous = current
         negative.sort()
         classes.append(tuple(negative))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import sproutsym
 from sproutsym import cli, oracles, sprout, suites
 from sproutsym.cli import render_latex, render_text, run
 from sproutsym.errors import ConsistencyError
+from sproutsym.positivity import expansion_positivity, toeplitz_minors
 from sproutsym.seeds import seed_by_name
 from sproutsym.series import dump_seed_series
 from sproutsym.symfunc import Basis, SymFunc
@@ -231,6 +233,43 @@ class TestPositivityCommand:
         )
         assert code == 0
         assert "submatrix" in json.loads(out.strip())["note"]
+
+    @pytest.mark.parametrize("name,order,degree,basis", [
+        ("l_genus", 4, 10, None),  # 20,820 violations, many write batches
+        ("secsqrt", 3, 6, None),  # a passing report
+        ("l_genus", 2, 4, "s"),  # the basis line follows the report
+    ])
+    def test_stdout_is_the_report_text(self, capsys, name, order, degree, basis):
+        argv = ["positivity", "--seed", name, "--minor-order", str(order),
+                "--degree", str(degree)]
+        seed = seed_by_name(name, degree)
+        report = toeplitz_minors(seed, order, degree)
+        want = report.to_json() + "\n"
+        if basis is not None:
+            argv += ["--basis", basis, "--nmax", str(degree)]
+            sweep = expansion_positivity(seed, degree, Basis.from_letter(basis))
+            want += json.dumps(sweep.to_json_obj()) + "\n"
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == want
+
+    def test_report_memory_is_bounded_by_its_classes(self, monkeypatch):
+        # the heaviest benchmark op writes 2.2 MB of JSON; the text held at
+        # once is one batch, so the traced peak stays far below that
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            code = run(["positivity", "--seed", "l_genus", "--minor-order", "4",
+                        "--degree", "10", "--decimate", "2"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 6 * 2**20
 
 
 class TestSpecialCommand:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sproutsym import positivity
 from sproutsym.errors import BudgetError, PrecisionError
 from sproutsym.partitions import Partition, enumerate_partitions
 from sproutsym.positivity import (
@@ -93,6 +94,16 @@ class TestMinorSweep:
         kept = [c for negative in report.classes for c in negative]
         assert all(rows[0] == 0 for rows, _, _ in kept)
         assert len(kept) == 11435 < len(report.violations) == 20820
+
+    def test_equal_values_and_rows_are_shared_within_an_order(self):
+        report = toeplitz_minors(seed_by_name("l_genus", 8), 4, 8)
+        for negative in report.classes:
+            values, rows_seen = {}, {}
+            for rows, _, value in negative:
+                assert values.setdefault(value, value) is value
+                assert rows_seen.setdefault(rows, rows) is rows
+        # the last order repeats both, so the checks above bite
+        assert len(values) < len(negative) and len(rows_seen) < len(negative)
 
     def test_budget_guard(self):
         seed = seed_by_name("geom", 12)
@@ -263,6 +274,9 @@ class TestProperties:
             "passed": report.passed,
             "note": report.note,
         })
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(positivity, "JSON_BATCH", 3)
+            assert report.to_json() == text
         assert report.passed == (not report.violations)
         if report.passed:
             assert '"violations": []' in text
