@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .errors import BudgetError, ConsistencyError, PrecisionError
+from .errors import BudgetError, ConsistencyError, PrecisionError, check_budget
 from .oracles import (
     SkewShape,
     alternating_count,
@@ -28,10 +28,9 @@ from .oracles import (
 )
 from .partitions import Partition, enumerate_partitions
 from .positivity import (
-    DEFAULT_MINOR_BUDGET,
-    check_minor_budget,
     decimation_check,
     expansion_positivity,
+    minor_count,
     toeplitz_minors,
 )
 from .seeds import CATALOG, seed_by_name
@@ -46,22 +45,6 @@ from .sprout import (
 )
 from .suites import SUITE_DEFAULTS, SUITES, run_checks
 from .symfunc import Basis, SymFunc, convert, scale
-
-# Highest degree R_n a special op may build (nmax, k*nmax, i+j or n),
-# checked before the seed is built.
-SPECIAL_DEGREE_BUDGET = 24
-
-# Highest seed precision expand (n) and positivity (max(degree*decimate,
-# nmax)) may build, checked before the seed is built.
-PRECISION_BUDGET = 36
-
-
-def _check_precision_budget(precision: int) -> None:
-    if precision > PRECISION_BUDGET:
-        raise BudgetError(
-            f"precision {precision} exceeds the precision budget of {PRECISION_BUDGET}"
-        )
-
 
 def _parse_partition(text: str) -> Partition:
     text = text.strip().strip("[]()")
@@ -165,7 +148,7 @@ def _poly_text(poly) -> str:
 
 
 def cmd_expand(args) -> int:
-    _check_precision_budget(args.n)
+    check_budget("precision", args.n)
     seed = seed_by_name(args.seed, args.n)
     f = expansion_in(seed, args.n, Basis.from_letter(args.basis))
     if args.scale == "fact2n":
@@ -206,9 +189,9 @@ def cmd_verify(args) -> int:
 def cmd_positivity(args) -> int:
     if args.basis is not None and args.nmax is None:
         raise ValueError("--basis needs --nmax")
-    check_minor_budget(args.minor_order, args.degree, DEFAULT_MINOR_BUDGET)
+    check_budget("minors", minor_count(args.minor_order, args.degree))
     precision = max(args.degree * args.decimate, args.nmax or 0)
-    _check_precision_budget(precision)
+    check_budget("precision", precision)
     seed = seed_by_name(args.seed, precision)
     if args.decimate > 1:
         report = decimation_check(seed, args.decimate, args.minor_order, args.degree)
@@ -233,17 +216,14 @@ def cmd_special(args) -> int:
 
     if args.op == "hk" and args.k < 1:
         raise ValueError(f"argument --k: must be at least 1 for --op hk, got {args.k}")
-    degree = {
-        "sn": args.nmax,
-        "ones": args.nmax,
-        "hk": args.k * args.nmax,
-        "hpair": args.i + args.j,
-        "hooks": args.n,
+    degree, budget = {
+        "sn": (args.nmax, "conversion degree"),
+        "ones": (args.nmax, "special degree"),
+        "hk": (args.k * args.nmax, "conversion degree"),
+        "hpair": (args.i + args.j, "conversion degree"),
+        "hooks": (args.n, "special degree"),
     }[args.op]
-    if degree > SPECIAL_DEGREE_BUDGET:
-        raise BudgetError(
-            f"degree {degree} exceeds the special budget of {SPECIAL_DEGREE_BUDGET}"
-        )
+    check_budget(budget, degree)
     seed = seed_by_name(args.seed, degree)
     if args.op == "sn":
         emit_series(special_sn(seed, args.nmax))

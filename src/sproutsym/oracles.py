@@ -22,28 +22,14 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 
-from .errors import BudgetError
+from .errors import check_budget
 from .linalg import det_int_bareiss
 from .partitions import Partition, conjugate
 from .symfunc import Basis, SymFunc, omega
 
-_ALT_BUDGET = 12  # longest permutation any enumeration here will walk
-_SYT_DET_BUDGET = 24
-_SYT_BRUTE_BUDGET = 12
-_MATCHING_BUDGET = 6
-_CHROMATIC_BUDGET = 8
-_UIO_BUDGET = 5
-
 
 # ---------------------------------------------------------------------------
 # Alternating permutations.
-
-
-def check_alt_budget(length: int) -> None:
-    if length > _ALT_BUDGET:
-        raise BudgetError(
-            f"enumerating permutations of length {length} exceeds the budget of {_ALT_BUDGET}"
-        )
 
 
 def _steps(length: int, block_starts) -> list[int]:
@@ -99,7 +85,7 @@ def _walk_blocks(length: int, block_starts: frozenset, visit) -> None:
 
 def alternating_permutations(k: int):
     """All down-up alternating permutations of [k], lexicographically."""
-    check_alt_budget(k)
+    check_budget("permutation length", k)
     out: list[tuple] = []
     _walk_blocks(k, frozenset({0}), lambda w: out.append(tuple(w)))
     return out
@@ -155,7 +141,7 @@ def _count_by_state(length: int, block_starts, first: int | None = None) -> int:
 
 def alternating_count(k: int) -> int:
     """Number of down-up alternating permutations of [k] (equals E_k)."""
-    check_alt_budget(k)
+    check_budget("permutation length", k)
     return _count_by_state(k, {0})
 
 
@@ -194,7 +180,7 @@ def rp_histogram(n: int) -> dict[Partition, int]:
     """Bin all alternating permutations of [2n] by record partition."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_alt_budget(2 * n)
+    check_budget("permutation length", 2 * n)
     counts: dict[tuple, int] = {}
 
     def bucket(word) -> None:
@@ -209,7 +195,7 @@ def _piecewise_blocks(lam) -> tuple[int, set]:
     """Length 2n and block starts of the blocks 2*lam_i, budget checked."""
     lam = Partition(lam)
     length = 2 * lam.n
-    check_alt_budget(length)
+    check_budget("permutation length", length)
     return length, set(accumulate((2 * part for part in lam[:-1]), initial=0))
 
 
@@ -227,7 +213,7 @@ def cyclically_alternating_count(n: int) -> int:
     """Alternating permutations of [2n] whose last entry is below the first."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_alt_budget(2 * n)
+    check_budget("permutation length", 2 * n)
     return sum(_count_by_state(2 * n, {0}, first) for first in range(1, 2 * n + 1))
 
 
@@ -276,20 +262,13 @@ def rho_shape(lam) -> SkewShape:
     return SkewShape(outer, inner)
 
 
-def check_syt_det_budget(cells: int) -> None:
-    if cells > _SYT_DET_BUDGET:
-        raise BudgetError(
-            f"{cells} cells exceed the determinant budget of {_SYT_DET_BUDGET}"
-        )
-
-
 def syt_count_det(shape: SkewShape) -> int:
     """Standard tableau count via the factorial determinant formula.
 
     cells! * det[1 / (outer_i - inner_j - i + j)!], with 1/k! read as 0
     when k is negative.
     """
-    check_syt_det_budget(shape.cells)
+    check_budget("determinant cells", shape.cells)
     ell = len(shape.outer)
     if ell == 0:
         return 1
@@ -309,10 +288,7 @@ def syt_count_det(shape: SkewShape) -> int:
 
 def syt_count_brute(shape: SkewShape) -> int:
     """Standard tableau count by placing 1..cells with backtracking."""
-    if shape.cells > _SYT_BRUTE_BUDGET:
-        raise BudgetError(
-            f"{shape.cells} cells exceed the brute budget of {_SYT_BRUTE_BUDGET}"
-        )
+    check_budget("brute cells", shape.cells)
     ell = len(shape.outer)
     inner = shape.inner_padded()
     filled = [0] * ell  # cells already placed in each row
@@ -347,8 +323,7 @@ def matchings(n: int) -> list[tuple]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > _MATCHING_BUDGET:
-        raise BudgetError(f"n={n} exceeds the matching budget of {_MATCHING_BUDGET}")
+    check_budget("matching n", n)
     out: list[tuple] = []
     pairs: list[tuple] = []
 
@@ -415,10 +390,7 @@ def chromatic_sym(graph: Graph, degree: int) -> SymFunc:
     """
     if graph.vertex_count != degree:
         raise ValueError("degree must equal the number of vertices")
-    if degree > _CHROMATIC_BUDGET:
-        raise BudgetError(
-            f"{degree} vertices exceed the chromatic budget of {_CHROMATIC_BUDGET}"
-        )
+    check_budget("chromatic vertices", degree)
     adj = graph.adjacency()
     counts: dict[tuple, int] = {}
     blocks: list[set] = []
@@ -451,11 +423,6 @@ def chromatic_sym(graph: Graph, degree: int) -> SymFunc:
     return SymFunc(Basis.M, degree, terms)
 
 
-def check_uio_budget(n: int) -> None:
-    if n > _UIO_BUDGET:
-        raise BudgetError(f"n={n} exceeds the interval-order budget of {_UIO_BUDGET}")
-
-
 def uio_sum(n: int) -> SymFunc:
     """Sum of omega X_G over the interval orders of all matchings of [2n].
 
@@ -465,7 +432,7 @@ def uio_sum(n: int) -> SymFunc:
     linear, so the m-terms of every X_G are summed first and omega is
     applied once.
     """
-    check_uio_budget(n)
+    check_budget("interval-order n", n)
     total: dict[Partition, Fraction] = {}
     for pairs in matchings(n):
         for lam, c in chromatic_sym(incomparability_graph(pairs), n).terms.items():

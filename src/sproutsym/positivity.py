@@ -33,13 +33,12 @@ from itertools import combinations, islice
 from math import comb, lcm
 from typing import NamedTuple
 
-from .errors import BudgetError, PrecisionError
+from .errors import PrecisionError, check_budget
 from .linalg import det_int_bareiss
 from .series import rat_str
 from .sprout import Seed, decimate_seed, expansion_in
 from .symfunc import Basis
 
-DEFAULT_MINOR_BUDGET = 3_000_000
 JSON_BATCH = 1024  # violations per write in MinorReport.write_json
 
 
@@ -180,26 +179,15 @@ def toeplitz_minor(seed: Seed, rows, cols) -> Fraction:
     return Fraction(det, scale ** len(rows))
 
 
-def check_minor_budget(max_order: int, max_degree: int, budget: int) -> None:
-    """BudgetError if a sweep to (max_order, max_degree) indexes more than
-    budget minors, skipped ones included; it counts minors, not memory."""
-    count = sum(
+def minor_count(max_order: int, max_degree: int) -> int:
+    """Minors a sweep to (max_order, max_degree) indexes, skipped ones included."""
+    return sum(
         comb(max_degree + 1, r) ** 2
         for r in range(1, min(max_order, max_degree + 1) + 1)
     )
-    if count > budget:
-        raise BudgetError(
-            f"{count} minors exceed the budget of {budget}; "
-            "shrink max_order/max_degree or raise minor_budget"
-        )
 
 
-def toeplitz_minors(
-    seed: Seed,
-    max_order: int,
-    max_degree: int,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-) -> MinorReport:
+def toeplitz_minors(seed: Seed, max_order: int, max_degree: int) -> MinorReport:
     """Evaluate every minor with indices <= max_degree and order <= max_order.
 
     The matrix [a_(j-i)] is upper triangular, so a minor with
@@ -219,7 +207,8 @@ def toeplitz_minors(
     tuple per (rows[:-1], r) across all column sets, so equal values and
     rows are the same objects.  Its ``violations`` lists them shift by
     shift in (order, rows, cols) lexicographic order.
-    The budget (``check_minor_budget``) is checked before any work.
+    The ``"minors"`` budget (``minor_count``) is checked before any work;
+    it counts minors, not memory.
     Exact arithmetic throughout.
     """
     if max_order < 1:
@@ -230,7 +219,7 @@ def toeplitz_minors(
         raise PrecisionError(
             f"degree {max_degree} beyond seed precision {seed.precision}"
         )
-    check_minor_budget(max_order, max_degree, minor_budget)
+    check_budget("minors", minor_count(max_order, max_degree))
     size = max_degree + 1
     scale = lcm(*(seed.a_coeff(k).denominator for k in range(size)), 1)
     entries = [int(seed.a_coeff(k) * scale) for k in range(size)]
@@ -329,13 +318,7 @@ def expansion_positivity(seed: Seed, n_max: int, basis: Basis) -> PositivityRepo
     )
 
 
-def decimation_check(
-    seed: Seed,
-    d: int,
-    max_order: int,
-    max_degree: int,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-) -> MinorReport:
+def decimation_check(seed: Seed, d: int, max_order: int, max_degree: int) -> MinorReport:
     """Minor sweep of the decimated seed sum_n a_{dn} t^n.
 
     Every minor inspected here is literally a minor of the undecimated
@@ -348,9 +331,7 @@ def decimation_check(
         raise PrecisionError(
             f"decimated degree {d}*{max_degree} beyond seed precision {seed.precision}"
         )
-    report = toeplitz_minors(
-        decimate_seed(seed, d), max_order, max_degree, minor_budget=minor_budget
-    )
+    report = toeplitz_minors(decimate_seed(seed, d), max_order, max_degree)
     note = (
         f"entries a_(d*(j-i)) with d={d}: the matrix [a_(d(j-i))] is a submatrix "
         f"of [a_(j-i)], so each minor here is a minor of the base Toeplitz matrix"

@@ -2,18 +2,18 @@
 
 Each suite is a generator that yields (name, ok, detail) per check, in
 declaration order; the runner collects them all before anything is
-printed, so an error raised mid-suite leaves stdout empty.  A suite
-backed by a budgeted oracle checks that budget at nmax on its first
-step, so an oversized run fails before any check runs.
+printed, so an error raised mid-suite leaves stdout empty.  Every suite
+checks a budget of ``errors.BUDGETS`` at nmax on its first step, so an
+oversized run fails before any check runs: the oracle-backed suites check
+their oracle's budget, and routes, omega, kronecker and h-specials, which
+only run the algebra, check the "suite degree".
 """
 
 from fractions import Fraction
 from math import factorial
 
+from .errors import check_budget
 from .oracles import (
-    check_alt_budget,
-    check_syt_det_budget,
-    check_uio_budget,
     cyclically_alternating_count,
     piecewise_alt_brute,
     piecewise_alt_count,
@@ -85,7 +85,7 @@ def _result(name: str, detail: str) -> tuple[str, bool, str]:
 
 def suite_rp(nmax: int):
     """Record-partition histogram against the phi statistic."""
-    check_alt_budget(2 * nmax)
+    check_budget("permutation length", 2 * nmax)
     for n in range(1, nmax + 1):
         hist = rp_histogram(n)
         expected = {lam: phi_abs(lam) for lam in enumerate_partitions(n)}
@@ -97,7 +97,7 @@ def suite_rp(nmax: int):
 
 def suite_m_expansion(nmax: int):
     """Piecewise-alternating counts vs the multinomial formula vs the seed."""
-    check_alt_budget(2 * nmax)
+    check_budget("permutation length", 2 * nmax)
     for n in range(1, nmax + 1):
         seed = seed_by_name("secsqrt", n)
         euler = euler_numbers(2 * n)
@@ -117,7 +117,7 @@ def suite_m_expansion(nmax: int):
 
 def suite_schur_skew(nmax: int):
     """Schur coefficients of the sec(sqrt(t)) sequence vs skew tableau counts."""
-    check_syt_det_budget(2 * nmax)  # rho_shape(lam) has 2n cells
+    check_budget("determinant cells", 2 * nmax)  # rho_shape(lam) has 2n cells
     seed = seed_by_name("secsqrt", nmax)
     for n in range(1, nmax + 1):
         for lam in enumerate_partitions(n):
@@ -131,7 +131,7 @@ def suite_schur_skew(nmax: int):
 
 def suite_uio(nmax: int):
     """Interval-order chromatic sums against the sec(sqrt(t)) sequence."""
-    check_uio_budget(nmax)
+    check_budget("interval-order n", nmax)
     seed = seed_by_name("secsqrt", nmax)
     for n in range(1, nmax + 1):
         detail = _mismatch(uio_sum(n), scale(sprout_m(seed, n), factorial(2 * n)))
@@ -140,6 +140,7 @@ def suite_uio(nmax: int):
 
 def suite_h_specials(nmax: int):
     """The four h-expansion facts for the sec(sqrt(t)) sequence."""
+    check_budget("suite degree", nmax)
     seed = seed_by_name("secsqrt", nmax)
     euler = euler_numbers(2 * nmax)
     e_prime = [0] + [k * euler[2 * k - 1] for k in range(1, nmax + 1)]
@@ -167,6 +168,7 @@ def suite_h_specials(nmax: int):
 
 def suite_omega(nmax: int):
     """Behavior under the omega involution, seed by seed."""
+    check_budget("suite degree", nmax)
     for seed in _catalog(nmax):
         twisted = omega_seed(seed)
         detail = _mismatch(omega_seed(twisted).a, seed.a)
@@ -219,6 +221,7 @@ def _power_pairing_mismatch(seed, nmax: int, in_p) -> str:
 
 def suite_routes(nmax: int):
     """Agreement of the monomial, power-sum and hom construction routes."""
+    check_budget("suite degree", nmax)
     for seed in _catalog(nmax):
         in_p = {}  # n -> R_n in p, built once per degree
         for n in range(1, nmax + 1):
@@ -232,6 +235,7 @@ def suite_routes(nmax: int):
 
 def suite_kronecker(nmax: int):
     """Internal-product homomorphism property, degree by degree."""
+    check_budget("suite degree", nmax)
     for seed in _catalog(nmax):
         for n in range(nmax + 1):
             report = kronecker_hom_check(seed, n)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 import sproutsym
 from sproutsym import cli, oracles, sprout, suites
 from sproutsym.cli import render_latex, render_text, run
-from sproutsym.errors import ConsistencyError
+from sproutsym.errors import BUDGETS, BudgetError, ConsistencyError
 from sproutsym.positivity import expansion_positivity, toeplitz_minors
 from sproutsym.seeds import seed_by_name
 from sproutsym.series import dump_seed_series
@@ -410,26 +411,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert out == ""
-        assert "exceed the budget of 3000000" in err
+        assert re.search(r"minors \d+ exceeds the budget of 3000000", err)
         assert built == []
 
     @pytest.mark.parametrize(
         "op",
         [
-            ("hooks", "--n", "1000"),
-            ("sn", "--nmax", "25"),
-            ("ones", "--k", "3", "--nmax", "25"),
-            ("hk", "--k", "5", "--nmax", "5"),
-            ("hpair", "--i", "13", "--j", "12"),
+            (("hooks", "--n", "1000"), "special degree 1000 exceeds the budget of 24"),
+            (("sn", "--nmax", "25"), "conversion degree 25 exceeds the budget of 20"),
+            (("ones", "--k", "3", "--nmax", "25"), "special degree 25 exceeds the budget of 24"),
+            (("hk", "--k", "5", "--nmax", "5"), "conversion degree 25 exceeds the budget of 20"),
+            (("hpair", "--i", "13", "--j", "12"), "conversion degree 25 exceeds the budget of 20"),
         ],
     )
     def test_special_budget_checked_before_the_seed_is_built(self, capsys, monkeypatch, op):
+        op, message = op
         built = []
         monkeypatch.setattr(cli, "seed_by_name", lambda *args: built.append(args))
         code, out, err = invoke(capsys, "special", "--seed", "one_plus_t", "--op", *op)
         assert code == 3
         assert out == ""
-        assert "exceeds the special budget of 24" in err
+        assert message in err
         assert built == []
 
     def test_precision_budget_admits_degree_36(self, capsys):
@@ -469,6 +471,104 @@ class TestExitCodes:
             capsys, "expand", "--seed", f"file:{path}", "--n", "5", "--basis", "m"
         )
         assert code == 3
+
+
+def _over(key: str) -> str:
+    return str(BUDGETS[key] + 1)
+
+
+# One argv per BUDGETS key the CLI reaches, one above the limit.
+CLI_BUDGET_ROWS = {
+    "precision": ("expand", "--seed", "secsqrt", "--n", _over("precision"), "--basis", "m"),
+    "special degree": (
+        "special", "--seed", "geom", "--op", "hooks", "--n", _over("special degree"),
+    ),
+    "conversion degree": (
+        "special", "--seed", "geom", "--op", "sn", "--nmax", _over("conversion degree"),
+    ),
+    "suite degree": ("verify", "--suite", "routes", "--nmax", _over("suite degree")),
+    "minors": ("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "1732"),
+    "permutation length": ("oracle", "--op", "alt-count", "--n", _over("permutation length")),
+    "determinant cells": ("oracle", "--op", "syt", "--outer", _over("determinant cells")),
+    "brute cells": ("oracle", "--op", "syt", "--outer", _over("brute cells"), "--brute"),
+    "interval-order n": ("oracle", "--op", "uio", "--n", _over("interval-order n")),
+}
+
+# No sweep indexes exactly limit + 1 minors; order 1, degree 1732 indexes
+# 1733^2, the fewest above the limit.
+OVER_THE_LIMIT = {"minors": 1733**2}
+
+# Keys no CLI input can reach: a direct call one above the limit.
+LIBRARY_BUDGET_ROWS = {
+    "matching n": lambda limit: oracles.matchings(limit + 1),
+    "chromatic vertices": lambda limit: oracles.chromatic_sym(
+        oracles.Graph(limit + 1, ()), limit + 1
+    ),
+}
+
+# Where each budgeted command starts its work: none may run once a budget fails.
+WORK_ENTRY_POINTS = [
+    (cli, "seed_by_name"),
+    (suites, "seed_by_name"),
+    (oracles, "_walk_blocks"),
+    (oracles, "_count_by_state"),
+    (oracles, "matchings"),
+    (oracles.SkewShape, "inner_padded"),
+]
+
+
+class TestBudgetTable:
+    """Every key of BUDGETS, one row each, refused before any work starts."""
+
+    def test_no_row_without_a_key(self):
+        assert not (set(CLI_BUDGET_ROWS) | set(LIBRARY_BUDGET_ROWS)) - set(BUDGETS)
+
+    @pytest.mark.parametrize("key", sorted(BUDGETS))
+    def test_refused_above_the_limit(self, capsys, monkeypatch, key):
+        limit = BUDGETS[key]
+        if key in LIBRARY_BUDGET_ROWS:
+            message = f"^{key} {limit + 1} exceeds the budget of {limit}$"
+            with pytest.raises(BudgetError, match=message):
+                LIBRARY_BUDGET_ROWS[key](limit)
+            return
+        argv = CLI_BUDGET_ROWS[key]
+        value = OVER_THE_LIMIT.get(key, limit + 1)
+        started = []
+        for owner, name in WORK_ENTRY_POINTS:
+            monkeypatch.setattr(
+                owner, name, lambda *args, name=name: started.append(name)
+            )
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"error: {key} {value} exceeds the budget of {limit}\n" == err
+        assert started == []
+
+    def test_suite_degree_admits_its_limit(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "--suite", "omega", "--nmax", str(BUDGETS["suite degree"])
+        )
+        assert code == 0
+        assert out.endswith("128/128 checks passed\n")
+
+    def test_conversion_degree_admits_its_limit(self, capsys):
+        half = str(BUDGETS["conversion degree"] // 2)
+        code, out, _ = invoke(
+            capsys, "special", "--seed", "one_plus_t", "--op", "hpair",
+            "--i", half, "--j", half,
+        )
+        assert code == 0
+        assert out == "1\n"
+
+    def test_readme_table_mirrors_budgets(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Budgets\n", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                key, limit = (cell.strip() for cell in line.split("|")[1:3])
+                table[key.strip("`")] = int(limit.replace(",", ""))
+        assert table == BUDGETS
 
 
 # Out-of-range integer flags, each with the flag argparse must name.
@@ -532,20 +632,21 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("expand", "--seed", "secsqrt", "--n", "37", "--basis", "m"),
-            ("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "1",
-             "--basis", "h", "--nmax", "37"),
-            ("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "2",
-             "--decimate", "3000"),
+            (("expand", "--seed", "secsqrt", "--n", "37", "--basis", "m"), 37),
+            (("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "1",
+              "--basis", "h", "--nmax", "37"), 37),
+            (("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "2",
+              "--decimate", "3000"), 6000),
         ],
     )
     def test_over_precision_budget_before_the_seed_is_built(self, capsys, monkeypatch, argv):
+        argv, precision = argv
         built = []
         monkeypatch.setattr(cli, "seed_by_name", lambda *args: built.append(args))
         code, out, err = invoke(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert "exceeds the precision budget of 36" in err
+        assert f"precision {precision} exceeds the budget of 36" in err
         assert built == []
 
     @pytest.mark.parametrize("argv,flag", FLAG_ROWS)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sproutsym import positivity
-from sproutsym.errors import BudgetError, PrecisionError
+from sproutsym.errors import BUDGETS, BudgetError, PrecisionError
 from sproutsym.partitions import Partition, enumerate_partitions
 from sproutsym.positivity import (
     decimation_check,
@@ -105,10 +105,11 @@ class TestMinorSweep:
         # the last order repeats both, so the checks above bite
         assert len(values) < len(negative) and len(rows_seen) < len(negative)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         seed = seed_by_name("geom", 12)
+        monkeypatch.setitem(BUDGETS, "minors", 1000)
         with pytest.raises(BudgetError):
-            toeplitz_minors(seed, 5, 12, minor_budget=1000)
+            toeplitz_minors(seed, 5, 12)
 
     def test_precision_guard(self):
         with pytest.raises(PrecisionError):
@@ -186,7 +187,7 @@ class TestSweepMatchesBruteForce:
         assert list(report.violations) == brute_violations(seed, 5, 8)
         assert len(report.violations) == count
 
-    def test_budget_edge(self):
+    def test_budget_edge(self, monkeypatch):
         seed = seed_by_name("geom", 7)
         for order, degree in ((1, 0), (2, 5), (3, 7)):
             # every (rows, cols) pair of each order up to order, skipped ones included
@@ -194,9 +195,11 @@ class TestSweepMatchesBruteForce:
                 len(list(combinations(range(degree + 1), r))) ** 2
                 for r in range(1, order + 1)
             )
-            toeplitz_minors(seed, order, degree, minor_budget=count)
+            monkeypatch.setitem(BUDGETS, "minors", count)
+            toeplitz_minors(seed, order, degree)
+            monkeypatch.setitem(BUDGETS, "minors", count - 1)
             with pytest.raises(BudgetError):
-                toeplitz_minors(seed, order, degree, minor_budget=count - 1)
+                toeplitz_minors(seed, order, degree)
 
     def test_negative_degree_rejected(self):
         seed = seed_by_name("geom", 4)
