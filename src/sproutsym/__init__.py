@@ -10,10 +10,10 @@ chromatic sums) against independent brute-force oracles.
 
 from .errors import BudgetError, ConsistencyError, PrecisionError
 from .partitions import (
-    Partition,
     conjugate,
     enumerate_partitions,
     multinomial,
+    partition,
     z_of,
 )
 from .positivity import (
@@ -62,7 +62,6 @@ __all__ = [
     "ConsistencyError",
     "KroneckerReport",
     "MinorReport",
-    "Partition",
     "PositivityReport",
     "PrecisionError",
     "Seed",
@@ -84,6 +83,7 @@ __all__ = [
     "multiply",
     "omega",
     "omega_seed",
+    "partition",
     "phi_abs",
     "phi_hom",
     "principal_specialize",

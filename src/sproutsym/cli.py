@@ -26,7 +26,7 @@ from .oracles import (
     syt_count_det,
     uio_sum,
 )
-from .partitions import Partition, enumerate_partitions
+from .partitions import enumerate_partitions, multiplicities, partition
 from .positivity import (
     decimation_check,
     expansion_positivity,
@@ -46,12 +46,12 @@ from .sprout import (
 from .suites import SUITE_DEFAULTS, SUITES, run_checks
 from .symfunc import Basis, SymFunc, convert, scale
 
-def _parse_partition(text: str) -> Partition:
+def _parse_partition(text: str) -> tuple:
     text = text.strip().strip("[]()")
     if not text:
-        return Partition()
+        return ()
     try:
-        return Partition(int(x) for x in text.split(","))
+        return partition(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad partition {text!r}: {exc}") from exc
 
@@ -70,7 +70,7 @@ def _int_at_least(low: int):
 
 def _display_order(f: SymFunc):
     """Table display order: more parts first, then lexicographically larger."""
-    return sorted(f.terms, key=lambda lam: (len(lam), tuple(lam)), reverse=True)
+    return sorted(f.terms, key=lambda lam: (len(lam), lam), reverse=True)
 
 
 def _render_terms(f: SymFunc, body) -> str:
@@ -93,10 +93,10 @@ def render_text(f: SymFunc) -> str:
     return _render_terms(f, body)
 
 
-def _latex_monomial(basis: Basis, lam: Partition) -> str:
+def _latex_monomial(basis: Basis, lam: tuple) -> str:
     if basis in (Basis.P, Basis.E, Basis.H):
         factors = []
-        for value, mult in sorted(lam.multiplicities().items(), reverse=True):
+        for value, mult in sorted(multiplicities(lam).items(), reverse=True):
             factors.append(
                 f"{basis.value}_{{{value}}}"
                 + (f"^{{{mult}}}" if mult > 1 else "")

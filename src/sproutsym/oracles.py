@@ -24,7 +24,7 @@ from math import factorial
 
 from .errors import check_budget
 from .linalg import det_int_bareiss
-from .partitions import Partition, conjugate
+from .partitions import conjugate, multiplicities, partition
 from .symfunc import Basis, SymFunc, omega
 
 
@@ -161,7 +161,7 @@ def _record_gaps(w) -> tuple:
     return tuple(sorted((b - a for a, b in zip(records, records[1:])), reverse=True))
 
 
-def record_partition(w) -> Partition:
+def record_partition(w) -> tuple:
     """Record partition of an alternating permutation of even length.
 
     Take the odd-position subsequence, find its left-to-right maxima at
@@ -173,10 +173,10 @@ def record_partition(w) -> Partition:
     for pos in range(1, len(w)):
         if not (w[pos - 1] > w[pos] if pos % 2 else w[pos - 1] < w[pos]):
             raise ValueError(f"{w!r} is not down-up alternating")
-    return Partition(_record_gaps(w))
+    return _record_gaps(w)
 
 
-def rp_histogram(n: int) -> dict[Partition, int]:
+def rp_histogram(n: int) -> dict[tuple, int]:
     """Bin all alternating permutations of [2n] by record partition."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -188,13 +188,13 @@ def rp_histogram(n: int) -> dict[Partition, int]:
         counts[key] = counts.get(key, 0) + 1
 
     _walk_blocks(2 * n, frozenset({0}), bucket)
-    return {Partition(key): count for key, count in counts.items()}
+    return counts
 
 
 def _piecewise_blocks(lam) -> tuple[int, set]:
     """Length 2n and block starts of the blocks 2*lam_i, budget checked."""
-    lam = Partition(lam)
-    length = 2 * lam.n
+    lam = partition(lam)
+    length = 2 * sum(lam)
     check_budget("permutation length", length)
     return length, set(accumulate((2 * part for part in lam[:-1]), initial=0))
 
@@ -227,7 +227,7 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
     __slots__ = ()
 
     def __new__(cls, outer, inner):
-        outer, inner = Partition(outer), Partition(inner)
+        outer, inner = partition(outer), partition(inner)
         if len(inner) > len(outer):
             raise ValueError("inner shape has more rows than outer")
         for i, part in enumerate(inner):
@@ -236,11 +236,11 @@ class SkewShape(namedtuple("SkewShape", "outer inner")):
         return super().__new__(cls, outer, inner)
 
     def inner_padded(self) -> tuple:
-        return tuple(self.inner) + (0,) * (len(self.outer) - len(self.inner))
+        return self.inner + (0,) * (len(self.outer) - len(self.inner))
 
     @property
     def cells(self) -> int:
-        return self.outer.n - self.inner.n
+        return sum(self.outer) - sum(self.inner)
 
     def __str__(self) -> str:
         outer = ",".join(str(p) for p in self.outer)
@@ -252,13 +252,15 @@ def rho_shape(lam) -> SkewShape:
     """The staircase-overlapped doubling of the conjugate partition.
 
     Row i has length 2*lam'_i, and each row starts one column left of
-    the row above; the shape holds 2n cells for lam of n.
+    the row above; the shape holds 2n cells for lam of n, so it is refused
+    above the determinant's budget before it is built.
     """
-    lam = Partition(lam)
+    lam = partition(lam)
+    check_budget("determinant cells", 2 * sum(lam))
     conj = conjugate(lam)
     ell = len(conj)
-    outer = Partition([2 * conj[i] + ell - (i + 1) for i in range(ell)])
-    inner = Partition([x for x in (ell - (j + 1) for j in range(ell)) if x > 0])
+    outer = [2 * conj[i] + ell - (i + 1) for i in range(ell)]
+    inner = [x for x in (ell - (j + 1) for j in range(ell)) if x > 0]
     return SkewShape(outer, inner)
 
 
@@ -266,9 +268,12 @@ def syt_count_det(shape: SkewShape) -> int:
     """Standard tableau count via the factorial determinant formula.
 
     cells! * det[1 / (outer_i - inner_j - i + j)!], with 1/k! read as 0
-    when k is negative.
+    when k is negative.  The arguments of one term of the determinant sum
+    to cells, so a nonzero term has every argument in 0..cells, and an
+    entry whose argument is above cells is read as 0 too.
     """
-    check_budget("determinant cells", shape.cells)
+    cells = shape.cells
+    check_budget("determinant cells", cells)
     ell = len(shape.outer)
     if ell == 0:
         return 1
@@ -277,10 +282,13 @@ def syt_count_det(shape: SkewShape) -> int:
         [shape.outer[i] - inner[j] - (i + 1) + (j + 1) for j in range(ell)]
         for i in range(ell)
     ]
-    # scale [1/arg!] to integers by the largest factorial, then undo exactly
-    top = factorial(max(arg for row in args for arg in row))
-    rows = [[top // factorial(arg) if arg >= 0 else 0 for arg in row] for row in args]
-    value, rest = divmod(det_int_bareiss(rows) * factorial(shape.cells), top**ell)
+    # scale [1/arg!] to integers by cells!, then undo exactly
+    top = factorial(cells)
+    rows = [
+        [top // factorial(arg) if 0 <= arg <= cells else 0 for arg in row]
+        for row in args
+    ]
+    value, rest = divmod(det_int_bareiss(rows) * top, top**ell)
     if rest:
         raise ArithmeticError(f"tableau determinant for {shape} is not integral")
     return value
@@ -415,9 +423,8 @@ def chromatic_sym(graph: Graph, degree: int) -> SymFunc:
         assign(0)
     terms = {}
     for lam, count in counts.items():
-        lam = Partition(lam)
         weight = count
-        for m in lam.multiplicities().values():
+        for m in multiplicities(lam).values():
             weight *= factorial(m)
         terms[lam] = Fraction(weight)
     return SymFunc(Basis.M, degree, terms)
@@ -433,7 +440,7 @@ def uio_sum(n: int) -> SymFunc:
     applied once.
     """
     check_budget("interval-order n", n)
-    total: dict[Partition, Fraction] = {}
+    total: dict[tuple, Fraction] = {}
     for pairs in matchings(n):
         for lam, c in chromatic_sym(incomparability_graph(pairs), n).terms.items():
             total[lam] = total.get(lam, 0) + c

@@ -147,8 +147,11 @@ class PositivityReport(NamedTuple):
     basis: Basis
     n_max: int
     first_negative: tuple | None
-    passed: bool
     e_precheck_first_fail: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.first_negative is None
 
     def to_json_obj(self) -> dict:
         first = None
@@ -313,7 +316,6 @@ def expansion_positivity(seed: Seed, n_max: int, basis: Basis) -> PositivityRepo
         basis=basis,
         n_max=n_max,
         first_negative=first_negative,
-        passed=first_negative is None,
         e_precheck_first_fail=precheck,
     )
 

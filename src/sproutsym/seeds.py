@@ -12,7 +12,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import ConsistencyError, PrecisionError
-from .partitions import Partition
+from .partitions import multiplicities, partition
 from .series import Series, inverse, load_seed_series, mul
 from .sprout import Seed
 
@@ -58,13 +58,13 @@ def bernoulli(n_max: int) -> list[Fraction]:
 
 def phi_abs(lam) -> int:
     """|phi(lam)| = (2n)! * prod_k (E_{2k-1}/(2k)!)^{m_k} / m_k!, an integer."""
-    lam = Partition(lam)
-    n = lam.n
+    lam = partition(lam)
+    n = sum(lam)
     if n == 0:
         return 1
     euler = _euler_upto(2 * n - 1)
     value = Fraction(factorial(2 * n))
-    for k, m in lam.multiplicities().items():
+    for k, m in multiplicities(lam).items():
         value *= Fraction(euler[2 * k - 1], factorial(2 * k)) ** m / factorial(m)
     if value.denominator != 1:
         raise ConsistencyError(f"phi({list(lam)!r}) = {value} is not an integer")

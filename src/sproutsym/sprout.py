@@ -26,7 +26,7 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from .errors import ConsistencyError, PrecisionError
-from .partitions import EMPTY, Partition, enumerate_partitions, z_of
+from .partitions import enumerate_partitions, multiplicities, partition, z_of
 from .series import (
     Poly,
     Series,
@@ -70,7 +70,7 @@ class Seed:
             for n in range(a.precision + 1)
         )
         self.name = name
-        self._memo = {"s": {EMPTY: Fraction(1)}, "h": {EMPTY: Fraction(1)}}
+        self._memo = {"s": {(): Fraction(1)}, "h": {(): Fraction(1)}}
 
     @property
     def precision(self) -> int:
@@ -123,8 +123,8 @@ def sprout_p(seed: Seed, n: int) -> SymFunc:
 
 def schur_coeff(seed: Seed, lam) -> Fraction:
     """<R_n, s_lam> = det[a_{lam_i - i + j}], read from the seed's Schur memo."""
-    lam = Partition(lam)
-    _check_degree(seed, lam.n)
+    lam = partition(lam)
+    _check_degree(seed, sum(lam))
     return _schur(seed, seed._memo["s"], lam)
 
 
@@ -205,7 +205,7 @@ def expansion_in(seed: Seed, n: int, basis: Basis) -> SymFunc:
     memo = seed._memo["h"]
     terms = {
         nu: _hom(seed, memo, nu)
-        / prod(factorial(m) for m in nu.multiplicities().values())
+        / prod(factorial(m) for m in multiplicities(nu).values())
         for nu in enumerate_partitions(n)
     }
     return SymFunc(basis, n, terms)
@@ -336,7 +336,10 @@ class KroneckerReport(NamedTuple):
     degree: int
     checked_pairs: int
     violations: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def to_json_obj(self) -> dict:
         return {
@@ -378,7 +381,7 @@ def kronecker_hom_check(seed: Seed, n: int) -> KroneckerReport:
                 lhs = kronecker(r_full, product)
                 rhs = multiply(act_left, act_right)
                 b_prod = prod(
-                    (seed.b_coeff(part) for part in tuple(lam) + tuple(mu)),
+                    (seed.b_coeff(part) for part in lam + mu),
                     start=Fraction(1),
                 )
                 expected = SymFunc(
@@ -390,5 +393,4 @@ def kronecker_hom_check(seed: Seed, n: int) -> KroneckerReport:
         degree=n,
         checked_pairs=checked,
         violations=tuple(violations),
-        passed=not violations,
     )

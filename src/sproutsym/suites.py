@@ -23,7 +23,7 @@ from .oracles import (
     syt_count_det,
     uio_sum,
 )
-from .partitions import Partition, enumerate_partitions, multinomial, z_of
+from .partitions import enumerate_partitions, multinomial, z_of
 from .seeds import euler_numbers, phi_abs, seed_by_name
 from .series import inverse, negate_arg
 from .sprout import (
@@ -178,7 +178,7 @@ def suite_omega(nmax: int):
             detail = _mismatch(lhs, sprout_m(twisted, n))
             yield _result(f"omega compatibility seed={seed.name} n={n}", detail)
         flipped = inverse(negate_arg(seed.a))
-        got = [schur_coeff(seed, Partition((1,) * n)) for n in range(nmax + 1)]
+        got = [schur_coeff(seed, (1,) * n) for n in range(nmax + 1)]
         want = [flipped.coeff(n) for n in range(nmax + 1)]
         yield _result(f"omega [s_1^n] series seed={seed.name}", _mismatch(got, want))
 
@@ -212,7 +212,7 @@ def _power_pairing_mismatch(seed, nmax: int, in_p) -> str:
     ``in_p[n]`` is R_n in the power-sum basis."""
     for d in range(1, nmax + 1):
         for m in range(1, nmax // d + 1):
-            p_dm = basis_element(Basis.P, Partition((d,) * m))
+            p_dm = basis_element(Basis.P, (d,) * m)
             got = scalar_product(in_p[d * m], p_dm)
             if got != seed.b_coeff(d) ** m:
                 return f"<R_{d * m}, p_{d}^{m}> != b_{d}^{m}"

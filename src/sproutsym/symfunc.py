@@ -16,10 +16,9 @@ Hall pairing (``_pairings``) of a vector with every row:
   sends h_lam to e_lam.
 
 Table values are ints and coefficients Fractions, so round trips are
-exact equalities, not approximations.  The tables key their rows by plain
-weakly decreasing tuples, built by sorting and slicing; a tuple and the
-Partition with the same parts are equal dict keys.  ``SymFunc.__init__``
-is the one place where those keys are checked and become Partitions.
+exact equalities, not approximations.  Partitions are plain weakly
+decreasing tuples throughout; the tables build theirs by sorting and
+slicing, and ``SymFunc.__init__`` checks every key it is given.
 """
 
 from enum import Enum
@@ -27,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, perm
 
-from .partitions import Partition, conjugate, enumerate_partitions, z_of
+from .partitions import conjugate, enumerate_partitions, multiplicities, partition, z_of
 from .series import rat_str
 
 
@@ -58,11 +57,11 @@ class SymFunc:
     def __init__(self, basis: Basis, degree: int, terms):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[tuple, Fraction] = {}
         for lam, c in dict(terms).items():
-            lam = Partition(lam)
+            lam = partition(lam)
             c = Fraction(c)
-            if lam.n != degree:
+            if sum(lam) != degree:
                 raise ValueError(f"partition {lam!r} does not have size {degree}")
             if c != 0:
                 clean[lam] = c
@@ -71,7 +70,7 @@ class SymFunc:
         self.terms = clean
 
     def coeff(self, lam) -> Fraction:
-        return self.terms.get(Partition(lam), Fraction(0))
+        return self.terms.get(partition(lam), Fraction(0))
 
     def items_canonical(self):
         """Terms in reverse-lexicographic partition order."""
@@ -84,7 +83,7 @@ class SymFunc:
             "basis": self.basis.value,
             "degree": self.degree,
             "terms": [
-                {"partition": lam.to_json(), "coeff": rat_str(c, always_slash=True)}
+                {"partition": list(lam), "coeff": rat_str(c, always_slash=True)}
                 for lam, c in self.items_canonical()
             ],
         }
@@ -92,7 +91,7 @@ class SymFunc:
     @classmethod
     def from_json_obj(cls, obj) -> "SymFunc":
         terms = {
-            Partition(entry["partition"]): Fraction(entry["coeff"])
+            partition(entry["partition"]): Fraction(entry["coeff"])
             for entry in obj["terms"]
         }
         return cls(Basis.from_letter(obj["basis"]), obj["degree"], terms)
@@ -114,8 +113,8 @@ class SymFunc:
 
 
 def basis_element(basis: Basis, lam) -> SymFunc:
-    lam = Partition(lam)
-    return SymFunc(basis, lam.n, {lam: Fraction(1)})
+    lam = partition(lam)
+    return SymFunc(basis, sum(lam), {lam: Fraction(1)})
 
 
 def add(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -207,7 +206,7 @@ def _p_in_h(lam: tuple) -> dict:
 
 def _omega_signs(vec: dict) -> dict:
     """omega on power-sum coefficients: p_rho -> (-1)**(|rho| - len(rho)) p_rho."""
-    return {rho: -c if (rho.n - len(rho)) % 2 else c for rho, c in vec.items()}
+    return {rho: -c if (sum(rho) - len(rho)) % 2 else c for rho, c in vec.items()}
 
 
 @cache
@@ -385,7 +384,7 @@ def principal_specialize(f: SymFunc, k: int) -> Fraction:
     acc = Fraction(0)
     for lam, c in convert(f, Basis.M).terms.items():
         ways = perm(k, len(lam))
-        for m in lam.multiplicities().values():
+        for m in multiplicities(lam).values():
             ways //= factorial(m)
         acc += c * ways
     return acc

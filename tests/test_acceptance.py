@@ -26,7 +26,7 @@ from sproutsym.oracles import (
     syt_count_det,
     uio_sum,
 )
-from sproutsym.partitions import Partition, enumerate_partitions, multinomial
+from sproutsym.partitions import enumerate_partitions, multinomial, partition
 from sproutsym.positivity import expansion_positivity, toeplitz_minors
 from sproutsym.seeds import bernoulli, euler_numbers, phi_abs, seed_by_name
 from sproutsym.series import Series, inverse, negate_arg, power
@@ -111,7 +111,7 @@ def test_criterion_01_h_table(capsys):
 
 def test_criterion_02_m_coefficient(capsys):
     def body():
-        lam = Partition((3, 1, 1))
+        lam = partition((3, 1, 1))
         euler = euler_numbers(10)
         formula = multinomial(10, [6, 2, 2]) * euler[6] * euler[2] * euler[2]
         seed = seed_by_name("secsqrt", 5)
@@ -228,13 +228,13 @@ def test_criterion_08_omega_and_specials(capsys):
                 assert convert(omega(sprout_m(seed, n)), Basis.M) == sprout_m(
                     twisted, n
                 )
-                assert schur_coeff(seed, Partition((1,) * n)) == flipped.coeff(n)
+                assert schur_coeff(seed, partition((1,) * n)) == flipped.coeff(n)
             for k in range(5):
                 assert special_ones(seed, 8, k) == power(seed.a, k)
             for n in range(1, 9):
                 poly = special_hooks(seed, n)
                 for k in range(n):
-                    want = schur_coeff(seed, Partition((n - k,) + (1,) * k))
+                    want = schur_coeff(seed, partition((n - k,) + (1,) * k))
                     got = poly[k] if k < len(poly) else Fraction(0)
                     assert got == want
 
@@ -256,7 +256,7 @@ def test_criterion_09_closed_forms(capsys):
             )
             assert convert(sprout_m(geom, n), Basis.H) == basis_element(Basis.H, (n,))
             assert sprout_p(exp_seed, n).terms == {
-                Partition((1,) * n): Fraction(1, factorial(n))
+                partition((1,) * n): Fraction(1, factorial(n))
             }
             total = None
             for k in range(n + 1):

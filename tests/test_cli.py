@@ -584,7 +584,7 @@ FLAG_ROWS = [
 
 
 class TestInputContract:
-    """Bad arguments exit 2 before anything reaches stdout."""
+    """Bad arguments exit 2, and budgets 3, before anything reaches stdout."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -654,6 +654,23 @@ class TestInputContract:
         code, _, err = invoke(capsys, *argv)
         assert code == 2
         assert f"argument {flag}:" in err
+
+    def test_two_cells_in_long_rows(self, capsys, monkeypatch):
+        # (300000,1)/(299999) has 2 cells; no factorial above 2! is formed
+        args = []
+        real = oracles.factorial
+        monkeypatch.setattr(oracles, "factorial", lambda k: args.append(k) or real(k))
+        code, out, _ = invoke(
+            capsys, "oracle", "--op", "syt", "--outer", "300000,1", "--inner", "299999"
+        )
+        assert (code, out) == (0, "2\n")
+        assert max(args) == 2
+
+    def test_rho_shape_over_the_determinant_budget(self, capsys):
+        code, out, err = invoke(capsys, "oracle", "--op", "rho", "--partition", "13")
+        assert code == 3
+        assert out == ""
+        assert err == "error: determinant cells 26 exceeds the budget of 24\n"
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -30,7 +30,7 @@ from sproutsym.oracles import (
     syt_count_det,
     uio_sum,
 )
-from sproutsym.partitions import EMPTY, Partition, enumerate_partitions, multinomial
+from sproutsym.partitions import enumerate_partitions, multinomial, partition
 from sproutsym.seeds import euler_numbers, phi_abs, seed_by_name
 from sproutsym.sprout import sprout_m
 from sproutsym.symfunc import Basis, convert, scale
@@ -137,11 +137,11 @@ class TestRecordPartition:
     def test_worked_example(self):
         # odd positions 7,5,8,10,9; records at 1,3,4; gaps 2,1,2
         w = (7, 2, 5, 4, 8, 3, 10, 6, 9, 1)
-        assert record_partition(w) == Partition((2, 2, 1))
+        assert record_partition(w) == partition((2, 2, 1))
 
     def test_small_cases(self):
-        assert record_partition((2, 1, 4, 3)) == Partition((1, 1))
-        assert record_partition((4, 1, 3, 2)) == Partition((2,))
+        assert record_partition((2, 1, 4, 3)) == partition((1, 1))
+        assert record_partition((4, 1, 3, 2)) == partition((2,))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -157,10 +157,10 @@ class TestRecordPartition:
 
 class TestRpHistogram:
     def test_n2(self):
-        assert rp_histogram(2) == {Partition((2,)): 2, Partition((1, 1)): 3}
+        assert rp_histogram(2) == {partition((2,)): 2, partition((1, 1)): 3}
 
     def test_n1(self):
-        assert rp_histogram(1) == {Partition((1,)): 1}
+        assert rp_histogram(1) == {partition((1,)): 1}
 
     def test_n3_total(self):
         hist = rp_histogram(3)
@@ -187,11 +187,11 @@ class TestRpHistogram:
 
 class TestPiecewise:
     def test_pair_of_descents(self):
-        assert piecewise_alt_count(Partition((1, 1))) == 6
+        assert piecewise_alt_count(partition((1, 1))) == 6
 
     def test_single_block_matches_zigzag(self):
         for n in range(1, 4):
-            assert piecewise_alt_count(Partition((n,))) == euler_numbers(2 * n)[2 * n]
+            assert piecewise_alt_count(partition((n,))) == euler_numbers(2 * n)[2 * n]
 
     def test_formula_agreement_up_to_4(self):
         euler = euler_numbers(8)
@@ -208,13 +208,13 @@ class TestPiecewise:
                 assert piecewise_alt_brute(lam) == piecewise_alt_count(lam)
 
     def test_empty(self):
-        assert piecewise_alt_count(EMPTY) == 1
+        assert piecewise_alt_count(()) == 1
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            piecewise_alt_count(Partition((7,)))
+            piecewise_alt_count(partition((7,)))
         with pytest.raises(BudgetError):
-            piecewise_alt_brute(Partition((7,)))
+            piecewise_alt_brute(partition((7,)))
 
 
 class TestCyclicallyAlternating:
@@ -237,19 +237,19 @@ class TestCyclicallyAlternating:
 
 class TestRhoShape:
     def test_worked_example(self):
-        shape = rho_shape(Partition((5, 3, 1, 1)))
-        assert shape.outer == Partition((12, 7, 6, 3, 2))
-        assert shape.inner == Partition((4, 3, 2, 1))
+        shape = rho_shape(partition((5, 3, 1, 1)))
+        assert shape.outer == partition((12, 7, 6, 3, 2))
+        assert shape.inner == partition((4, 3, 2, 1))
 
     def test_single_box(self):
-        shape = rho_shape(Partition((1,)))
-        assert shape.outer == Partition((2,))
-        assert shape.inner == EMPTY
+        shape = rho_shape(partition((1,)))
+        assert shape.outer == partition((2,))
+        assert shape.inner == ()
 
     def test_column(self):
-        shape = rho_shape(Partition((1, 1)))
-        assert shape.outer == Partition((4,))
-        assert shape.inner == EMPTY
+        shape = rho_shape(partition((1, 1)))
+        assert shape.outer == partition((4,))
+        assert shape.inner == ()
 
     def test_cell_count_is_2n(self):
         for n in range(7):
@@ -257,20 +257,20 @@ class TestRhoShape:
                 assert rho_shape(lam).cells == 2 * n
 
     def test_str(self):
-        assert str(rho_shape(Partition((5, 3, 1, 1)))) == "(12,7,6,3,2)/(4,3,2,1)"
+        assert str(rho_shape(partition((5, 3, 1, 1)))) == "(12,7,6,3,2)/(4,3,2,1)"
 
 
 class TestSytCounts:
     def test_rows_and_small_shapes(self):
-        assert syt_count_det(SkewShape(Partition((2,)), EMPTY)) == 1
-        assert syt_count_det(SkewShape(Partition((3, 2)), Partition((1,)))) == 5
-        assert syt_count_det(SkewShape(Partition((4,)), EMPTY)) == 1
-        assert syt_count_det(SkewShape(Partition((2, 1)), EMPTY)) == 2
+        assert syt_count_det(SkewShape(partition((2,)), ())) == 1
+        assert syt_count_det(SkewShape(partition((3, 2)), partition((1,)))) == 5
+        assert syt_count_det(SkewShape(partition((4,)), ())) == 1
+        assert syt_count_det(SkewShape(partition((2, 1)), ())) == 2
 
     def test_brute_matches_examples(self):
-        assert syt_count_brute(SkewShape(Partition((3, 2)), Partition((1,)))) == 5
-        assert syt_count_brute(SkewShape(Partition((5,)), EMPTY)) == 1
-        assert syt_count_brute(SkewShape(Partition((2, 1)), EMPTY)) == 2
+        assert syt_count_brute(SkewShape(partition((3, 2)), partition((1,)))) == 5
+        assert syt_count_brute(SkewShape(partition((5,)), ())) == 1
+        assert syt_count_brute(SkewShape(partition((2, 1)), ())) == 2
 
     def test_brute_matches_det_on_rho_shapes(self):
         for n in range(5):
@@ -281,20 +281,20 @@ class TestSytCounts:
     def test_brute_matches_det_on_straight_shapes(self):
         for n in range(1, 7):
             for lam in enumerate_partitions(n):
-                shape = SkewShape(lam, EMPTY)
+                shape = SkewShape(lam, ())
                 assert syt_count_brute(shape) == syt_count_det(shape)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            SkewShape(Partition((2,)), Partition((3,)))
+            SkewShape(partition((2,)), partition((3,)))
         with pytest.raises(ValueError):
-            SkewShape(Partition((2,)), Partition((1, 1)))
+            SkewShape(partition((2,)), partition((1, 1)))
 
     def test_budgets(self):
         with pytest.raises(BudgetError):
-            syt_count_det(SkewShape(Partition((13, 12)), EMPTY))
+            syt_count_det(SkewShape(partition((13, 12)), ()))
         with pytest.raises(BudgetError):
-            syt_count_brute(SkewShape(Partition((7, 6)), EMPTY))
+            syt_count_brute(SkewShape(partition((7, 6)), ()))
 
 
 class TestMatchings:
@@ -363,20 +363,20 @@ class TestIntervalOrder:
 class TestChromatic:
     def test_single_vertex(self):
         got = chromatic_sym(Graph(1, frozenset()), 1)
-        assert got.terms == {Partition((1,)): 1}
+        assert got.terms == {partition((1,)): 1}
 
     def test_single_edge(self):
         got = chromatic_sym(Graph(2, frozenset({(0, 1)})), 2)
-        assert got.terms == {Partition((1, 1)): 2}
+        assert got.terms == {partition((1, 1)): 2}
 
     def test_claw_monomial_form(self):
         # hand count: 1 stable partition of type (3,1), 3 of type (2,1,1),
         # singletons for (1,1,1,1); augmented weights 1, 2, 24
         got = chromatic_sym(claw_graph(), 4)
         assert got.terms == {
-            Partition((3, 1)): 1,
-            Partition((2, 1, 1)): 6,
-            Partition((1, 1, 1, 1)): 24,
+            partition((3, 1)): 1,
+            partition((2, 1, 1)): 6,
+            partition((1, 1, 1, 1)): 24,
         }
 
     def test_claw_is_not_schur_positive(self):
@@ -386,7 +386,7 @@ class TestChromatic:
     def test_complete_graph_forces_singletons(self):
         edges = frozenset((i, j) for i in range(4) for j in range(i + 1, 4))
         got = chromatic_sym(Graph(4, edges), 4)
-        assert got.terms == {Partition((1, 1, 1, 1)): 24}
+        assert got.terms == {partition((1, 1, 1, 1)): 24}
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -396,11 +396,11 @@ class TestChromatic:
 class TestUioSum:
     def test_degree_one(self):
         got = uio_sum(1)
-        assert got.terms == {Partition((1,)): 1}  # 2! * A_1 = p_1 = m_1
+        assert got.terms == {partition((1,)): 1}  # 2! * A_1 = p_1 = m_1
 
     def test_degree_two(self):
         got = uio_sum(2)
-        assert got.terms == {Partition((2,)): 5, Partition((1, 1)): 6}
+        assert got.terms == {partition((2,)): 5, partition((1, 1)): 6}
 
     def test_matches_sprout_up_to_4(self):
         seed = seed_by_name("secsqrt", 4)

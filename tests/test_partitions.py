@@ -2,13 +2,15 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sproutsym.partitions import (
-    EMPTY,
-    Partition,
     conjugate,
     enumerate_partitions,
     multinomial,
+    multiplicities,
+    partition,
     z_of,
 )
 
@@ -47,40 +49,72 @@ def cycle_type(perm):
             cur = perm[cur]
             length += 1
         lengths.append(length)
-    return Partition(sorted(lengths, reverse=True))
+    return partition(sorted(lengths, reverse=True))
 
 
 class TestPartitionType:
+    """A partition is a plain tuple; ``partition`` checks one from outside."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            Partition((1, 2))
+            partition((1, 2))
         with pytest.raises(ValueError):
-            Partition((3, 0))
+            partition((3, 0))
         with pytest.raises(ValueError):
-            Partition((2, -1))
+            partition((2, -1))
         with pytest.raises(ValueError):
-            Partition((True,))
+            partition((True,))
 
     def test_n_and_length(self):
-        lam = Partition((5, 3, 1, 1))
-        assert lam.n == 10
-        assert lam.length() == 4
-        assert EMPTY.n == 0
+        lam = partition((5, 3, 1, 1))
+        assert type(lam) is tuple
+        assert sum(lam) == 10
+        assert len(lam) == 4
+        assert sum(partition(())) == 0
 
     def test_usable_as_key_and_ordered(self):
-        d = {Partition((2, 1)): "a", Partition((3,)): "b"}
-        assert d[Partition((2, 1))] == "a"
-        assert Partition((3,)) > Partition((2, 1)) > Partition((1, 1, 1))
+        d = {partition((2, 1)): "a", partition((3,)): "b"}
+        assert d[partition((2, 1))] == "a"
+        assert partition((3,)) > partition((2, 1)) > partition((1, 1, 1))
 
     def test_multiplicities_and_json(self):
-        lam = Partition((3, 2, 2, 1))
-        assert lam.multiplicities() == {3: 1, 2: 2, 1: 1}
-        assert lam.to_json() == [3, 2, 2, 1]
+        lam = partition((3, 2, 2, 1))
+        assert multiplicities(lam) == {3: 1, 2: 2, 1: 1}
+        assert multiplicities(()) == {}
+        assert list(lam) == [3, 2, 2, 1]
+
+    def test_other_iterables_become_tuples(self):
+        assert partition([2, 1]) == (2, 1)
+        assert type(partition([2, 1])) is tuple
+        assert partition(p for p in (3, 3)) == (3, 3)
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 6), max_size=6).map(
+                lambda parts: sorted(parts, reverse=True)
+            ),
+            st.lists(
+                st.one_of(
+                    st.integers(-2, 6), st.booleans(), st.floats(0, 4), st.text(max_size=1)
+                ),
+                max_size=6,
+            ),
+        )
+    )
+    def test_accepts_exactly_weakly_decreasing_positive_ints(self, parts):
+        parts = tuple(parts)
+        positive_ints = all(type(p) is int and p >= 1 for p in parts)
+        valid = positive_ints and all(a >= b for a, b in zip(parts, parts[1:]))
+        if valid:
+            assert partition(parts) is parts
+        else:
+            with pytest.raises(ValueError):
+                partition(parts)
 
 
 class TestEnumerate:
     def test_zero(self):
-        assert enumerate_partitions(0) == (EMPTY,)
+        assert enumerate_partitions(0) == ((),)
 
     def test_four(self):
         assert [list(lam) for lam in enumerate_partitions(4)] == [
@@ -112,11 +146,11 @@ class TestEnumerate:
 
 class TestConjugate:
     def test_example(self):
-        assert conjugate(Partition((5, 3, 1, 1))) == Partition((4, 2, 2, 1, 1))
+        assert conjugate(partition((5, 3, 1, 1))) == partition((4, 2, 2, 1, 1))
 
     def test_empty_and_row(self):
-        assert conjugate(EMPTY) == EMPTY
-        assert conjugate(Partition((6,))) == Partition((1,) * 6)
+        assert conjugate(()) == ()
+        assert conjugate(partition((6,))) == partition((1,) * 6)
 
     def test_involution_up_to_12(self):
         for n in range(13):
@@ -127,12 +161,12 @@ class TestConjugate:
 class TestZ:
     def test_ones_gives_factorial(self):
         for n in range(8):
-            assert z_of(Partition((1,) * n)) == factorial(n)
+            assert z_of(partition((1,) * n)) == factorial(n)
 
     def test_direct_product(self):
-        assert z_of(Partition((2, 1))) == 2
-        assert z_of(EMPTY) == 1
-        assert z_of(Partition((3, 3, 2))) == 3**2 * 2 * 2
+        assert z_of(partition((2, 1))) == 2
+        assert z_of(()) == 1
+        assert z_of(partition((3, 3, 2))) == 3**2 * 2 * 2
 
     def test_cycle_type_counts(self):
         # z_lam times the number of permutations of that cycle type is n!.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sproutsym import positivity
 from sproutsym.errors import BUDGETS, BudgetError, PrecisionError
-from sproutsym.partitions import Partition, enumerate_partitions
+from sproutsym.partitions import enumerate_partitions, partition
 from sproutsym.positivity import (
     decimation_check,
     expansion_positivity,
@@ -314,7 +314,7 @@ class TestExpansionPositivity:
     def test_one_plus_t_h_fails(self):
         report = expansion_positivity(seed_by_name("one_plus_t", 2), 2, Basis.H)
         assert not report.passed
-        assert report.first_negative == (2, Partition((2,)), Fraction(-1))
+        assert report.first_negative == (2, partition((2,)), Fraction(-1))
 
     def test_e_precheck(self):
         # e_n expansions of 1 + t are e-positive and the inequality holds
@@ -449,7 +449,7 @@ class TestEdreiThoma:
 
     def test_secsqrt_e_fails_first_at_two(self):
         report = expansion_positivity(seed_by_name("secsqrt", 20), 20, Basis.E)
-        assert report.first_negative == (2, Partition((2,)), Fraction(-1, 6))
+        assert report.first_negative == (2, partition((2,)), Fraction(-1, 6))
 
 
 class TestDecimation:

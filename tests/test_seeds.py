@@ -5,7 +5,7 @@ import pytest
 
 from sproutsym.errors import PrecisionError
 from sproutsym.oracles import alternating_count
-from sproutsym.partitions import Partition, enumerate_partitions
+from sproutsym.partitions import enumerate_partitions, partition
 from sproutsym.seeds import (
     SeedSpec,
     bernoulli,
@@ -58,9 +58,9 @@ class TestBernoulli:
 
 class TestPhiAbs:
     def test_small_partitions(self):
-        assert phi_abs(Partition((2,))) == 2
-        assert phi_abs(Partition((1, 1))) == 3
-        assert phi_abs(Partition(())) == 1
+        assert phi_abs(partition((2,))) == 2
+        assert phi_abs(partition((1, 1))) == 3
+        assert phi_abs(partition(())) == 1
 
     def test_totals_are_zigzag_numbers(self):
         euler = euler_numbers(12)
