@@ -27,7 +27,6 @@ from .positivity import (
 from .seeds import SeedSpec, bernoulli, euler_numbers, phi_abs, seed_by_name
 from .series import Series
 from .sprout import (
-    KroneckerReport,
     Seed,
     expansion_in,
     kronecker_hom_check,
@@ -60,7 +59,6 @@ __all__ = [
     "Basis",
     "BudgetError",
     "ConsistencyError",
-    "KroneckerReport",
     "MinorReport",
     "PositivityReport",
     "PrecisionError",

@@ -43,7 +43,7 @@ from .sprout import (
     special_ones,
     special_sn,
 )
-from .suites import SUITE_DEFAULTS, SUITES, run_checks
+from .suites import SUITES, run_checks
 from .symfunc import Basis, SymFunc, convert, scale
 
 def _parse_partition(text: str) -> tuple:
@@ -173,8 +173,7 @@ def cmd_seeds(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    nmax = args.nmax if args.nmax is not None else SUITE_DEFAULTS[args.suite]
-    checks = run_checks(suite(nmax))
+    checks = run_checks(suite() if args.nmax is None else suite(args.nmax))
     failures = 0
     for name, ok, detail in checks:
         if ok:

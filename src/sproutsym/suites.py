@@ -1,7 +1,8 @@
 """Named verification suites behind the CLI ``verify`` subcommand.
 
 Each suite is a generator that yields (name, ok, detail) per check, in
-declaration order; the runner collects them all before anything is
+declaration order, and its nmax defaults to the degree ``verify`` runs
+without --nmax.  The runner collects them all before anything is
 printed, so an error raised mid-suite leaves stdout empty.  Every suite
 checks a budget of ``errors.BUDGETS`` at nmax on its first step, so an
 oversized run fails before any check runs: the oracle-backed suites check
@@ -50,17 +51,6 @@ CATALOG_SPECS = [
     "ahat",
 ]
 
-SUITE_DEFAULTS = {
-    "rp": 4,
-    "m-expansion": 4,
-    "schur-skew": 6,
-    "uio": 3,
-    "h-specials": 6,
-    "omega": 6,
-    "routes": 6,
-    "kronecker": 4,
-}
-
 
 # Tableau and piecewise-alternating checks that visit every object, and the
 # cyclic-alternating count, run up to this degree.
@@ -83,7 +73,7 @@ def _result(name: str, detail: str) -> tuple[str, bool, str]:
     return name, not detail, detail
 
 
-def suite_rp(nmax: int):
+def suite_rp(nmax: int = 4):
     """Record-partition histogram against the phi statistic."""
     check_budget("permutation length", 2 * nmax)
     for n in range(1, nmax + 1):
@@ -95,7 +85,7 @@ def suite_rp(nmax: int):
         yield _result(f"rp-histogram n={n}", detail)
 
 
-def suite_m_expansion(nmax: int):
+def suite_m_expansion(nmax: int = 4):
     """Piecewise-alternating counts vs the multinomial formula vs the seed."""
     check_budget("permutation length", 2 * nmax)
     for n in range(1, nmax + 1):
@@ -115,7 +105,7 @@ def suite_m_expansion(nmax: int):
             yield _result(f"m-expansion n={n} lam={list(lam)}", detail)
 
 
-def suite_schur_skew(nmax: int):
+def suite_schur_skew(nmax: int = 6):
     """Schur coefficients of the sec(sqrt(t)) sequence vs skew tableau counts."""
     check_budget("determinant cells", 2 * nmax)  # rho_shape(lam) has 2n cells
     seed = seed_by_name("secsqrt", nmax)
@@ -129,7 +119,7 @@ def suite_schur_skew(nmax: int):
             yield _result(f"schur-skew n={n} lam={list(lam)}", detail)
 
 
-def suite_uio(nmax: int):
+def suite_uio(nmax: int = 3):
     """Interval-order chromatic sums against the sec(sqrt(t)) sequence."""
     check_budget("interval-order n", nmax)
     seed = seed_by_name("secsqrt", nmax)
@@ -138,7 +128,7 @@ def suite_uio(nmax: int):
         yield _result(f"uio n={n}", detail)
 
 
-def suite_h_specials(nmax: int):
+def suite_h_specials(nmax: int = 6):
     """The four h-expansion facts for the sec(sqrt(t)) sequence."""
     check_budget("suite degree", nmax)
     seed = seed_by_name("secsqrt", nmax)
@@ -166,7 +156,7 @@ def suite_h_specials(nmax: int):
             yield _result(f"h-specials [h_{i}h_{j}] n={n}", _mismatch(got, want))
 
 
-def suite_omega(nmax: int):
+def suite_omega(nmax: int = 6):
     """Behavior under the omega involution, seed by seed."""
     check_budget("suite degree", nmax)
     for seed in _catalog(nmax):
@@ -219,7 +209,7 @@ def _power_pairing_mismatch(seed, nmax: int, in_p) -> str:
     return ""
 
 
-def suite_routes(nmax: int):
+def suite_routes(nmax: int = 6):
     """Agreement of the monomial, power-sum and hom construction routes."""
     check_budget("suite degree", nmax)
     for seed in _catalog(nmax):
@@ -233,13 +223,18 @@ def suite_routes(nmax: int):
         yield _result(f"routes power-pairing seed={seed.name}", detail)
 
 
-def suite_kronecker(nmax: int):
-    """Internal-product homomorphism property, degree by degree."""
+def suite_kronecker(nmax: int = 4):
+    """R_n * p_rho = b_rho p_rho for every rho |- n, degree by degree.
+
+    The internal product with sum_n R_n is the algebra map p_k -> b_k p_k
+    (Macdonald I.7).  R_n is read from the monomial route, so a wrong a_k
+    or b_k fails here.
+    """
     check_budget("suite degree", nmax)
     for seed in _catalog(nmax):
         for n in range(nmax + 1):
-            report = kronecker_hom_check(seed, n)
-            detail = "" if report.passed else f"{len(report.violations)} violated pairs"
+            failed = kronecker_hom_check(seed, n)
+            detail = f"{len(failed)} violated power sums" if failed else ""
             yield _result(f"kronecker seed={seed.name} n={n}", detail)
 
 

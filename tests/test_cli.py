@@ -141,6 +141,41 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "suite,nmax",
+        [
+            ("rp", "4"),
+            ("m-expansion", "4"),
+            ("schur-skew", "6"),
+            ("uio", "3"),
+            ("h-specials", "6"),
+            ("omega", "6"),
+            ("routes", "6"),
+            ("kronecker", "4"),
+        ],
+    )
+    def test_default_nmax(self, capsys, suite, nmax):
+        without = invoke(capsys, "verify", "--suite", suite)
+        assert without[0] == 0 and without[1]
+        assert without == invoke(capsys, "verify", "--suite", suite, "--nmax", nmax)
+
+    def test_kronecker_catches_a_wrong_log_coefficient(self, capsys, monkeypatch):
+        real = suites.seed_by_name
+
+        def shifted(spec, precision):
+            seed = real(spec, precision)
+            seed.b = seed.b[:2] + (seed.b[2] + Fraction(1, 7),) + seed.b[3:]
+            return seed
+
+        monkeypatch.setattr(suites, "seed_by_name", shifted)
+        code, out, _ = invoke(capsys, "verify", "--suite", "kronecker", "--nmax", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert "ok   kronecker seed=geom n=1" in lines
+        assert "FAIL kronecker seed=geom n=2: 1 violated power sums" in lines
+        assert "FAIL kronecker seed=geom n=3: 1 violated power sums" in lines
+        assert lines[-1] == "16/32 checks passed"
+
     def test_failed_check_is_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(suites, "phi_abs", lambda lam: 0)
         code, out, _ = invoke(capsys, "verify", "--suite", "rp", "--nmax", "1")

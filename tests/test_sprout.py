@@ -53,6 +53,17 @@ CATALOG = [
 ]
 
 
+# a_1..a_10 of a random seed, zeros included
+SEED_TAILS = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=8),
+    ),
+    min_size=10,
+    max_size=10,
+)
+
+
 def catalog(precision):
     return [seed_by_name(spec, precision) for spec in CATALOG]
 
@@ -131,14 +142,7 @@ class TestExpansionIn:
 
     @settings(deadline=None, max_examples=40)
     @given(
-        tail=st.lists(
-            st.one_of(
-                st.just(Fraction(0)),
-                st.fractions(min_value=-6, max_value=6, max_denominator=8),
-            ),
-            min_size=10,
-            max_size=10,
-        ),
+        tail=SEED_TAILS,
         n=st.integers(0, 10),
         pick=st.integers(0, 200),
     )
@@ -426,18 +430,38 @@ class TestKroneckerHom:
     def test_passes_for_catalog(self):
         for seed in catalog(5):
             for n in range(6):
-                report = kronecker_hom_check(seed, n)
-                assert report.passed, (seed.name, n, report.violations)
+                assert kronecker_hom_check(seed, n) == (), (seed.name, n)
 
-    def test_vacuous_degree_zero(self):
-        report = kronecker_hom_check(seed_by_name("secsqrt", 1), 0)
-        assert report.passed and report.checked_pairs == 1
+    @settings(deadline=None, max_examples=40)
+    @given(tail=SEED_TAILS, n=st.integers(0, 8))
+    def test_passes_for_random_seeds(self, tail, n):
+        assert kronecker_hom_check(Seed(Series([1, *tail])), n) == ()
 
-    def test_report_json(self):
-        report = kronecker_hom_check(seed_by_name("geom", 3), 3)
-        obj = report.to_json_obj()
-        assert obj["passed"] is True
-        assert obj["degree"] == 3
+    def test_degree_zero_checks_the_empty_power_sum(self, monkeypatch):
+        real = sprout.sprout_m
+        monkeypatch.setattr(
+            sprout, "sprout_m", lambda seed, n: scale(real(seed, n), 2 if n == 0 else 1)
+        )
+        assert kronecker_hom_check(seed_by_name("secsqrt", 1), 0) == ((),)
+
+    def test_catches_a_wrong_log_coefficient(self):
+        # geom has every b_k = 1, so exactly the rho with a part 2 see b_2 = 8/7
+        for n in range(6):
+            seed = seed_by_name("geom", 5)
+            seed.b = seed.b[:2] + (seed.b[2] + Fraction(1, 7),) + seed.b[3:]
+            want = tuple(rho for rho in enumerate_partitions(n) if 2 in rho)
+            assert kronecker_hom_check(seed, n) == want, n
+
+    def test_catches_a_wrong_monomial_route(self, monkeypatch):
+        real = sprout.sprout_m
+
+        def planted(seed, n):
+            r_n = real(seed, n)
+            return add(r_n, basis_element(Basis.M, (2, 1))) if n == 3 else r_n
+
+        monkeypatch.setattr(sprout, "sprout_m", planted)
+        # m_(2,1) = p_(2,1) - p_(3)
+        assert kronecker_hom_check(seed_by_name("geom", 3), 3) == ((3,), (2, 1))
 
 
 class TestInvariants:
