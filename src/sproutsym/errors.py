@@ -31,8 +31,8 @@ BUDGETS = {
     "permutation length": 12,
     # cells of a skew shape counted by the tableau determinant
     "determinant cells": 24,
-    # cells of a skew shape filled one by one
-    "brute cells": 12,
+    # standard tableaux of a skew shape filled one by one (about 4 s at the limit)
+    "brute tableaux": 1_000_000,
     # n of the perfect matchings of [2n] listed by matchings
     "matching n": 6,
     # vertices of a graph whose chromatic symmetric function is enumerated

@@ -6,9 +6,11 @@ algebraic machinery: permutations come from one pruned backtracking search
 chromatic symmetric functions from stable set-partitions.  The counters
 ``alternating_count``, ``piecewise_alt_count`` and
 ``cyclically_alternating_count`` run that search over (unused values, last
-value) states, counting equal subtrees once; ``alternating_permutations``,
-``rp_histogram`` and ``piecewise_alt_brute`` still visit every permutation
-through ``_walk_blocks``.  A matching is a
+value) states, counting equal subtrees once, and ``rp_histogram`` runs it
+over states that also carry the record bookkeeping; ``_candidates`` is the
+one rule by which every search extends a prefix.  ``alternating_permutations``
+and the brute twins ``rp_histogram_brute`` and ``piecewise_alt_brute`` visit
+every permutation through ``_walk_blocks``.  A matching is a
 plain tuple of sorted (low, high) pairs; its interval order is read
 straight off the pairs by ``incomparability_graph``.
 
@@ -45,6 +47,19 @@ def _steps(length: int, block_starts) -> list[int]:
     return steps
 
 
+def _candidates(step: int, free: int, last: int) -> int:
+    """Bitmask of the unused values a position may take after ``last``.
+
+    Any unused value at a block start (step 0), the smaller ones where a
+    descent is due, the larger ones where an ascent is due.
+    """
+    if step == 0:
+        return free
+    if step < 0:
+        return free & ((1 << last) - 1)
+    return free >> (last + 1) << (last + 1)
+
+
 def _walk_blocks(length: int, block_starts: frozenset, visit) -> None:
     """Backtrack over permutations of [length] alternating within each block.
 
@@ -63,14 +78,7 @@ def _walk_blocks(length: int, block_starts: frozenset, visit) -> None:
 
     def place(position: int, free: int) -> None:
         # bit v of free is set while value v is unused
-        step = steps[position]
-        if step == 0:
-            cand = free
-        elif step < 0:
-            cand = free & ((1 << word[position - 1]) - 1)
-        else:
-            above = word[position - 1] + 1
-            cand = free >> above << above
+        cand = _candidates(steps[position], free, word[position - 1])
         while cand:
             low = cand & -cand
             cand ^= low
@@ -122,12 +130,7 @@ def _count_by_state(length: int, block_starts, first: int | None = None) -> int:
     for step in steps:
         grown: dict[tuple, int] = {}
         for (free, last), count in layer.items():
-            if step == 0:
-                cand = free
-            elif step < 0:
-                cand = free & ((1 << last) - 1)
-            else:
-                cand = free >> (last + 1) << (last + 1)
+            cand = _candidates(step, free, last)
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -158,7 +161,12 @@ def _record_gaps(w) -> tuple:
             top = value
             records.append(i)
     records.append(len(odd))
-    return tuple(sorted((b - a for a, b in zip(records, records[1:])), reverse=True))
+    return _as_partition(b - a for a, b in zip(records, records[1:]))
+
+
+def _as_partition(parts) -> tuple:
+    """The parts as a partition: a tuple sorted largest first."""
+    return tuple(sorted(parts, reverse=True))
 
 
 def record_partition(w) -> tuple:
@@ -176,11 +184,51 @@ def record_partition(w) -> tuple:
     return _record_gaps(w)
 
 
-def rp_histogram(n: int) -> dict[tuple, int]:
-    """Bin all alternating permutations of [2n] by record partition."""
+def _check_rp_length(n: int) -> None:
     if n < 1:
         raise ValueError("n must be positive")
     check_budget("permutation length", 2 * n)
+
+
+def rp_histogram(n: int) -> dict[tuple, int]:
+    """Bin all alternating permutations of [2n] by record partition, by state.
+
+    The walk's search layer by layer, as in ``_count_by_state``, with the
+    record bookkeeping of ``_record_gaps`` carried in the state: (unused
+    values, last value, top odd-position value, index of the last record,
+    sorted gaps so far) maps to the number of prefixes that reach it.
+    """
+    _check_rp_length(n)
+    length = 2 * n
+    layer = {((1 << (length + 1)) - 2, 0, 0, 0, ()): 1}
+    for position, step in enumerate(_steps(length, {0})):
+        # entries at even 0-based positions make up the odd-position subsequence
+        index, descent = divmod(position, 2)
+        grown: dict[tuple, int] = {}
+        for (free, last, top, record, gaps), count in layer.items():
+            if not descent:  # the gaps if this entry is a new record
+                closed = _as_partition((*gaps, index - record)) if position else ()
+            cand = _candidates(step, free, last)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                value = low.bit_length() - 1
+                if descent or value < top:
+                    key = (free ^ low, value, top, record, gaps)
+                else:
+                    key = (free ^ low, value, value, index, closed)
+                grown[key] = grown.get(key, 0) + count
+        layer = grown
+    counts: dict[tuple, int] = {}
+    for (_, _, _, record, gaps), count in layer.items():
+        key = _as_partition((*gaps, n - record))
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
+def rp_histogram_brute(n: int) -> dict[tuple, int]:
+    """``rp_histogram`` by visiting each permutation once."""
+    _check_rp_length(n)
     counts: dict[tuple, int] = {}
 
     def bucket(word) -> None:
@@ -295,8 +343,12 @@ def syt_count_det(shape: SkewShape) -> int:
 
 
 def syt_count_brute(shape: SkewShape) -> int:
-    """Standard tableau count by placing 1..cells with backtracking."""
-    check_budget("brute cells", shape.cells)
+    """Standard tableau count by placing 1..cells with backtracking.
+
+    The walk visits every tableau once, so the determinant counts them
+    first and the walk starts only within the ``brute tableaux`` budget.
+    """
+    check_budget("brute tableaux", syt_count_det(shape))
     ell = len(shape.outer)
     inner = shape.inner_padded()
     filled = [0] * ell  # cells already placed in each row

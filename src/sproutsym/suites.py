@@ -20,6 +20,7 @@ from .oracles import (
     piecewise_alt_count,
     rho_shape,
     rp_histogram,
+    rp_histogram_brute,
     syt_count_brute,
     syt_count_det,
     uio_sum,
@@ -52,8 +53,8 @@ CATALOG_SPECS = [
 ]
 
 
-# Tableau and piecewise-alternating checks that visit every object, and the
-# cyclic-alternating count, run up to this degree.
+# Tableau, piecewise-alternating and record-partition checks that visit
+# every object, and the cyclic-alternating count, run up to this degree.
 _BRUTE_NMAX = 4
 
 
@@ -74,14 +75,16 @@ def _result(name: str, detail: str) -> tuple[str, bool, str]:
 
 
 def suite_rp(nmax: int = 4):
-    """Record-partition histogram against the phi statistic."""
+    """Record-partition histogram against the phi statistic and its walk."""
     check_budget("permutation length", 2 * nmax)
     for n in range(1, nmax + 1):
         hist = rp_histogram(n)
         expected = {lam: phi_abs(lam) for lam in enumerate_partitions(n)}
-        detail = _mismatch(hist, expected)
-        if not detail:
-            detail = _mismatch(sum(hist.values()), euler_numbers(2 * n)[2 * n])
+        detail = (
+            _mismatch(hist, expected)
+            or _mismatch(sum(hist.values()), euler_numbers(2 * n)[2 * n])
+            or (_mismatch(rp_histogram_brute(n), hist) if n <= _BRUTE_NMAX else "")
+        )
         yield _result(f"rp-histogram n={n}", detail)
 
 
@@ -176,20 +179,17 @@ def suite_omega(nmax: int = 6):
 def _routes_mismatch(seed, n: int, in_p) -> str:
     """Which route leaves the monomial route at degree n, or "".
 
-    ``in_p`` is R_n in the power-sum basis."""
+    ``in_p`` is the monomial route's R_n rewritten in the power-sum basis,
+    so the power-sum route is compared there and the hom routes in m."""
     via_m = sprout_m(seed, n)
-    via_p = convert(in_p, Basis.M)
-    via_phi_h = convert(expansion_in(seed, n, Basis.H), Basis.M)
-    via_phi_s = convert(expansion_in(seed, n, Basis.S), Basis.M)
-    via_phi_e = convert(expansion_in(seed, n, Basis.E), Basis.M)
     routes = (
-        (via_p, "power-sum"),
-        (via_phi_h, "hom/h"),
-        (via_phi_s, "hom/s"),
-        (via_phi_e, "hom/e"),
+        (in_p, sprout_p(seed, n), "power-sum"),
+        (via_m, convert(expansion_in(seed, n, Basis.H), Basis.M), "hom/h"),
+        (via_m, convert(expansion_in(seed, n, Basis.S), Basis.M), "hom/s"),
+        (via_m, convert(expansion_in(seed, n, Basis.E), Basis.M), "hom/e"),
     )
-    for route, label in routes:
-        if route != via_m:
+    for monomial, route, label in routes:
+        if route != monomial:
             return f"{label} route disagrees with monomial route"
     if dim(in_p) != seed.a_coeff(1) ** n:
         return "dimension is not a_1^n"
@@ -199,7 +199,7 @@ def _routes_mismatch(seed, n: int, in_p) -> str:
 def _power_pairing_mismatch(seed, nmax: int, in_p) -> str:
     """The first <R_dm, p_d^m> != b_d^m with dm <= nmax, or "".
 
-    ``in_p[n]`` is R_n in the power-sum basis."""
+    ``in_p[n]`` is the monomial route's R_n in the power-sum basis."""
     for d in range(1, nmax + 1):
         for m in range(1, nmax // d + 1):
             p_dm = basis_element(Basis.P, (d,) * m)
@@ -213,9 +213,9 @@ def suite_routes(nmax: int = 6):
     """Agreement of the monomial, power-sum and hom construction routes."""
     check_budget("suite degree", nmax)
     for seed in _catalog(nmax):
-        in_p = {}  # n -> R_n in p, built once per degree
+        in_p = {}  # n -> the monomial route's R_n in p, converted once per degree
         for n in range(1, nmax + 1):
-            in_p[n] = sprout_p(seed, n)
+            in_p[n] = convert(sprout_m(seed, n), Basis.P)
             yield _result(
                 f"routes seed={seed.name} n={n}", _routes_mismatch(seed, n, in_p[n])
             )

@@ -16,7 +16,9 @@ Hall pairing (``_pairings``) of a vector with every row:
   sends h_lam to e_lam.
 
 Table values are ints and coefficients Fractions, so round trips are
-exact equalities, not approximations.  Partitions are plain weakly
+exact equalities, not approximations.  A conversion brings its input's
+coefficients over their lcm denominator, sums table rows in ints and
+builds one Fraction per output coefficient.  Partitions are plain weakly
 decreasing tuples throughout; the tables build theirs by sorting and
 slicing, and ``SymFunc.__init__`` checks every key it is given.
 """
@@ -24,7 +26,7 @@ slicing, and ``SymFunc.__init__`` checks every key it is given.
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import factorial, perm
+from math import factorial, lcm, perm
 
 from .partitions import conjugate, enumerate_partitions, multiplicities, partition, z_of
 from .series import rat_str
@@ -135,13 +137,29 @@ def scale(f: SymFunc, c) -> SymFunc:
 # Transition tables, all pivoting through the power-sum basis.
 
 
+def _over_lcm(coeffs) -> tuple[list, int]:
+    """Integer numerators of the rationals coeffs over their lcm denominator."""
+    coeffs = list(coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _lincomb(vectors) -> dict:
-    """Sum of c * vec over the (vec, c) pairs, zero coefficients dropped."""
+    """Sum of c * vec over the (vec, c) pairs, zero coefficients dropped.
+
+    The coefficients c are brought over one common denominator and each key
+    is divided once, so integer rows, such as the tables', are summed in
+    ints; with denominator 1 they give int values.
+    """
+    vectors = list(vectors)
+    nums, den = _over_lcm(c for _, c in vectors)
     out: dict = {}
-    for vec, c in vectors:
+    for (vec, _), c in zip(vectors, nums):
         for key, d in vec.items():
             out[key] = out.get(key, 0) + c * d
-    return {key: c for key, c in out.items() if c != 0}
+    if den == 1:
+        return {key: c for key, c in out.items() if c}
+    return {key: Fraction(c, den) for key, c in out.items() if c}
 
 
 def _union_product(f: dict, g: dict) -> dict:
@@ -246,13 +264,17 @@ def _pairings(table, vec: dict, degree: int) -> dict:
 
     table(key) expands X_key in a basis, vec holds f in the dual basis
     (m and h are dual, s is self-dual), and zero pairings are dropped.
+    The pairings are summed in ints over the lcm of vec's denominators and
+    come back as Fractions.
     """
+    nums, den = _over_lcm(vec.values())
+    ivec = dict(zip(vec, nums))
     out = {}
     for key in enumerate_partitions(degree):
         row = table(key)
-        acc = sum(c * row[mu] for mu, c in vec.items() if mu in row)
+        acc = sum(c * row[mu] for mu, c in ivec.items() if mu in row)
         if acc:
-            out[key] = acc
+            out[key] = Fraction(acc, den)
     return out
 
 
@@ -262,15 +284,18 @@ def _m_to_s(mvec: dict, degree: int) -> dict:
     [m_mu] f = sum_lam c_lam K_lam,mu with K_mu,mu = 1 and K_lam,mu = 0
     unless lam dominates mu.  Dominance implies reverse-lex precedence, so
     in that order c_mu is [m_mu] f minus c_lam K_lam,mu over the shapes
-    lam != mu already solved.
+    lam != mu already solved.  The solve runs in ints over the lcm of
+    mvec's denominators, which the unitriangular K keeps exact.
     """
+    nums, den = _over_lcm(mvec.values())
+    ivec = dict(zip(mvec, nums))
     out: dict = {}
     for mu in enumerate_partitions(degree):
         solved = sum(out[lam] * k for lam, k in _h_in_s(mu).items() if lam in out)
-        c = mvec.get(mu, 0) - solved
+        c = ivec.get(mu, 0) - solved
         if c:
             out[mu] = c
-    return out
+    return {mu: Fraction(c, den) for mu, c in out.items()}
 
 
 def _to_p_terms(f: SymFunc) -> dict:

@@ -2,8 +2,9 @@
 
 Every assertion is an exact equality (all arithmetic is rational), and
 each criterion prints a single pass/fail line; run with ``pytest -s``
-to see them.  The two deliberately heavy enumerations (n = 5 record
-partitions, 945 matchings) are behind the ``slow`` marker.
+to see them.  The deliberately heavy enumeration (945 matchings) is
+behind the ``slow`` marker; the n = 5 record partitions are counted by
+state and run by default.
 """
 
 import io
@@ -135,7 +136,6 @@ def test_criterion_03_record_partitions(capsys):
         criterion(3, "record partitions vs phi, n<=4", 10.0, body)
 
 
-@pytest.mark.slow
 def test_criterion_03_record_partitions_slow():
     hist = rp_histogram(5)
     assert sum(hist.values()) == 50521

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -159,7 +160,9 @@ class TestVerify:
         assert without[0] == 0 and without[1]
         assert without == invoke(capsys, "verify", "--suite", suite, "--nmax", nmax)
 
-    def test_kronecker_catches_a_wrong_log_coefficient(self, capsys, monkeypatch):
+    @staticmethod
+    def shift_b2(monkeypatch):
+        """Every catalog seed of the suites gets b_2 + 1/7, its a_k untouched."""
         real = suites.seed_by_name
 
         def shifted(spec, precision):
@@ -168,6 +171,9 @@ class TestVerify:
             return seed
 
         monkeypatch.setattr(suites, "seed_by_name", shifted)
+
+    def test_kronecker_catches_a_wrong_log_coefficient(self, capsys, monkeypatch):
+        self.shift_b2(monkeypatch)
         code, out, _ = invoke(capsys, "verify", "--suite", "kronecker", "--nmax", "3")
         assert code == 1
         lines = out.splitlines()
@@ -175,6 +181,35 @@ class TestVerify:
         assert "FAIL kronecker seed=geom n=2: 1 violated power sums" in lines
         assert "FAIL kronecker seed=geom n=3: 1 violated power sums" in lines
         assert lines[-1] == "16/32 checks passed"
+
+    def test_routes_catch_a_wrong_log_coefficient(self, capsys, monkeypatch):
+        # the power pairing and dimension read the monomial route, so b_2 is
+        # checked against the a_k, not against itself
+        self.shift_b2(monkeypatch)
+        code, out, _ = invoke(capsys, "verify", "--suite", "routes", "--nmax", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert "ok   routes seed=geom n=1" in lines
+        assert "FAIL routes seed=geom n=2: power-sum route disagrees with monomial route" in lines
+        pairing = [line for line in lines if " power-pairing " in line]
+        assert len(pairing) == len(suites.CATALOG_SPECS)
+        for line in pairing:
+            assert line.startswith("FAIL routes power-pairing seed=")
+            assert line.endswith(": <R_2, p_2^1> != b_2^1")
+
+    def test_rp_brute_check_bites(self, capsys, monkeypatch):
+        real = suites.rp_histogram_brute
+
+        def bumped(n):
+            hist = real(n)
+            hist[(n,)] += 1
+            return hist
+
+        monkeypatch.setattr(suites, "rp_histogram_brute", bumped)
+        code, out, _ = invoke(capsys, "verify", "--suite", "rp", "--nmax", "4")
+        assert code == 1
+        assert out.startswith("FAIL rp-histogram n=1: got ")
+        assert out.endswith("0/4 checks passed\n")
 
     def test_failed_check_is_reported(self, capsys, monkeypatch):
         monkeypatch.setattr(suites, "phi_abs", lambda lam: 0)
@@ -204,6 +239,20 @@ class TestVerify:
         code, _, _ = invoke(capsys, "verify", "--suite", "m-expansion", "--nmax", "5")
         assert code == 0
         assert 0 < max(lengths) <= 2 * suites._BRUTE_NMAX
+
+    def test_rp_walks_only_up_to_the_brute_degree(self, capsys, monkeypatch):
+        lengths = []
+        real = oracles._walk_blocks
+
+        def recording(length, *rest):
+            lengths.append(length)
+            return real(length, *rest)
+
+        monkeypatch.setattr(oracles, "_walk_blocks", recording)
+        code, out, _ = invoke(capsys, "verify", "--suite", "rp", "--nmax", "5")
+        assert code == 0
+        assert out.endswith("5/5 checks passed\n")
+        assert lengths == [2 * n for n in range(1, suites._BRUTE_NMAX + 1)]
 
     def test_routes_catch_a_broken_e_route(self, capsys, monkeypatch):
         # e read off the h recurrence on F itself, not on the omega seed 1/F(-t)
@@ -419,7 +468,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("suite", ["m-expansion", "rp"])
     def test_suite_budget_checked_before_any_walk(self, capsys, monkeypatch, suite):
         walks = []
-        for name in ("_walk_blocks", "_count_by_state"):
+        for name in ("_walk_blocks", "_count_by_state", "_candidates"):
             real = getattr(oracles, name)
 
             def recording(*args, real=real):
@@ -525,13 +574,17 @@ CLI_BUDGET_ROWS = {
     "minors": ("positivity", "--seed", "geom", "--minor-order", "1", "--degree", "1732"),
     "permutation length": ("oracle", "--op", "alt-count", "--n", _over("permutation length")),
     "determinant cells": ("oracle", "--op", "syt", "--outer", _over("determinant cells")),
-    "brute cells": ("oracle", "--op", "syt", "--outer", _over("brute cells"), "--brute"),
+    "brute tableaux": (
+        "oracle", "--op", "syt", "--outer", "10,9,8,7,6,5,4,3,2,1",
+        "--inner", "9,8,7,6,5,4,3,2,1", "--brute",
+    ),
     "interval-order n": ("oracle", "--op", "uio", "--n", _over("interval-order n")),
 }
 
 # No sweep indexes exactly limit + 1 minors; order 1, degree 1732 indexes
-# 1733^2, the fewest above the limit.
-OVER_THE_LIMIT = {"minors": 1733**2}
+# 1733^2, the fewest above the limit.  The 10-cell staircase strip has 10!
+# tableaux, the first staircase strip above the brute-tableaux limit.
+OVER_THE_LIMIT = {"minors": 1733**2, "brute tableaux": 3_628_800}
 
 # Keys no CLI input can reach: a direct call one above the limit.
 LIBRARY_BUDGET_ROWS = {
@@ -547,9 +600,15 @@ WORK_ENTRY_POINTS = [
     (suites, "seed_by_name"),
     (oracles, "_walk_blocks"),
     (oracles, "_count_by_state"),
+    (oracles, "_candidates"),
     (oracles, "matchings"),
     (oracles.SkewShape, "inner_padded"),
 ]
+
+# Work a key's own check runs, and which is let through: the brute-tableaux
+# budget reads the determinant's count, which pads the shape once; the
+# tableau walk would pad it a second time.
+CHECK_RUNS = {"brute tableaux": ["inner_padded"]}
 
 
 class TestBudgetTable:
@@ -569,15 +628,21 @@ class TestBudgetTable:
         argv = CLI_BUDGET_ROWS[key]
         value = OVER_THE_LIMIT.get(key, limit + 1)
         started = []
+        checked_by = CHECK_RUNS.get(key, [])
         for owner, name in WORK_ENTRY_POINTS:
-            monkeypatch.setattr(
-                owner, name, lambda *args, name=name: started.append(name)
-            )
+            real = getattr(owner, name)
+
+            def stand_in(*args, name=name, real=real):
+                started.append(name)
+                if name in checked_by:
+                    return real(*args)
+
+            monkeypatch.setattr(owner, name, stand_in)
         code, out, err = invoke(capsys, *argv)
         assert code == 3
         assert out == ""
         assert f"error: {key} {value} exceeds the budget of {limit}\n" == err
-        assert started == []
+        assert started == checked_by
 
     def test_suite_degree_admits_its_limit(self, capsys):
         code, out, _ = invoke(
@@ -727,3 +792,27 @@ def test_cli_import_skips_dataclasses_and_inspect():
     loaded = set(result.stdout.split())
     assert "sproutsym.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+class TestProcessExit:
+    """main freezes the import-time objects of its one-command process; run,
+    which tests and in-process callers use, leaves the collector alone."""
+
+    def test_run_leaves_the_freeze_count(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = invoke(capsys, "seeds", "list")
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+    def test_main_freezes_before_running(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["sproutsym", "seeds", "list"])
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.main()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert exited.value.code == 0
+        assert "secsqrt" in capsys.readouterr().out
+        assert frozen > before

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sproutsym import oracles
 from sproutsym.errors import BudgetError
 from sproutsym.oracles import (
     Graph,
@@ -26,6 +27,7 @@ from sproutsym.oracles import (
     record_partition,
     rho_shape,
     rp_histogram,
+    rp_histogram_brute,
     syt_count_brute,
     syt_count_det,
     uio_sum,
@@ -177,12 +179,31 @@ class TestRpHistogram:
             for lam in enumerate_partitions(n):
                 assert hist.get(lam, 0) == phi_abs(lam)
 
-    @pytest.mark.slow
     def test_matches_phi_at_5(self):
         hist = rp_histogram(5)
         assert sum(hist.values()) == 50521
         for lam in enumerate_partitions(5):
             assert hist.get(lam, 0) == phi_abs(lam)
+
+    def test_matches_phi_at_the_top_of_the_length_budget(self):
+        hist = rp_histogram(6)
+        assert sum(hist.values()) == 2702765
+        assert hist == {lam: phi_abs(lam) for lam in enumerate_partitions(6)}
+
+    def test_counted_matches_the_walk_up_to_5(self):
+        for n in range(1, 6):
+            assert rp_histogram(n) == rp_histogram_brute(n)
+
+    def test_counts_without_walking(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_walk_blocks", None)
+        assert sum(rp_histogram(4).values()) == 1385
+
+    def test_budget(self):
+        for hist in (rp_histogram, rp_histogram_brute):
+            with pytest.raises(BudgetError):
+                hist(7)
+            with pytest.raises(ValueError):
+                hist(0)
 
 
 class TestPiecewise:
@@ -293,8 +314,17 @@ class TestSytCounts:
     def test_budgets(self):
         with pytest.raises(BudgetError):
             syt_count_det(SkewShape(partition((13, 12)), ()))
-        with pytest.raises(BudgetError):
-            syt_count_brute(SkewShape(partition((7, 6)), ()))
+        with pytest.raises(BudgetError, match="^determinant cells 25 "):
+            syt_count_brute(SkewShape(partition((13, 12)), ()))
+        # the 10-cell staircase strip: its cells are unrelated, so 10! tableaux
+        strip = SkewShape(tuple(range(10, 0, -1)), tuple(range(9, 0, -1)))
+        with pytest.raises(BudgetError, match="^brute tableaux 3628800 exceeds"):
+            syt_count_brute(strip)
+
+    def test_brute_budget_counts_tableaux_not_cells(self):
+        # 13 and 16 cells, above the old 12-cell limit, but few tableaux
+        assert syt_count_brute(SkewShape(partition((7, 6)), ())) == 429
+        assert syt_count_brute(SkewShape(partition((13, 3)), ())) == 440
 
 
 class TestMatchings:

@@ -63,6 +63,13 @@ SEED_TAILS = st.lists(
     max_size=10,
 )
 
+# a_1..a_10 over ten distinct primes, so the common denominators of the
+# conversions are products of primes rather than factorials
+PRIME_TAILS = st.tuples(
+    st.permutations((11, 13, 17, 19, 23, 29, 31, 37, 41, 43)),
+    st.lists(st.integers(-9, 9).filter(bool), min_size=10, max_size=10),
+).map(lambda pair: [Fraction(num, prime) for prime, num in zip(*pair)])
+
 
 def catalog(precision):
     return [seed_by_name(spec, precision) for spec in CATALOG]
@@ -158,6 +165,19 @@ class TestExpansionIn:
             r_k = sprout_m(seed, k)
             for basis in (Basis.H, Basis.E, Basis.S):
                 assert expansion_in(seed, k, basis) == convert(r_k, basis)
+
+    @settings(deadline=None, max_examples=25)
+    @given(tail=PRIME_TAILS, n=st.integers(0, 10))
+    def test_prime_denominators_round_trip_every_basis(self, tail, n):
+        seed = Seed(Series([1, *tail]))
+        r_n = sprout_m(seed, n)
+        images = {basis: convert(r_n, basis) for basis in Basis}
+        for basis in (Basis.H, Basis.E, Basis.S):
+            assert expansion_in(seed, n, basis) == images[basis]
+        assert images[Basis.P] == sprout_p(seed, n)
+        for image in images.values():
+            for basis in Basis:
+                assert convert(image, basis) == images[basis]
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ["secsqrt", "l_genus"])
