@@ -2,13 +2,14 @@
 
 Subcommands: expand, seeds, verify, positivity, special, oracle.
 Exit codes: 0 success, 1 identity violation, 2 usage error, 3 budget or
-precision error.  Rationals print as reduced "p/q"; JSON keeps "/1" on
-integers for schema uniformity.
+precision error, 141 stdout closed by its reader.  Rationals print as
+reduced "p/q"; JSON keeps "/1" on integers for schema uniformity.
 """
 
 import argparse
 import gc
 import json
+import os
 import sys
 from fractions import Fraction
 from math import factorial
@@ -164,8 +165,6 @@ def cmd_expand(args) -> int:
 
 
 def cmd_seeds(args) -> int:
-    if args.action != "list":
-        raise ValueError(f"unknown seeds action {args.action!r}")
     width = max(len(name) for name, _ in CATALOG)
     for name, blurb in CATALOG:
         print(f"{name.ljust(width)}  {blurb}")
@@ -370,6 +369,8 @@ def run(argv) -> int:
     except ConsistencyError as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # a closed stdout is no usage error; main handles it
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -379,7 +380,16 @@ def main() -> None:
     # Each command is one process whose import-time objects live until exit;
     # frozen, they are left out of every collection, the ones at exit included.
     gc.freeze()
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the
+        # flush at exit cannot fail again, and exit as a shell reports a
+        # filter killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,20 +10,22 @@ Schur-negative expansion and vice versa within the scanned window.
 Minors are evaluated fraction-free: the coefficient window is scaled by
 the lcm of its denominators into integers, and reported values are
 scaled back down.  The sweep uses the structure of [a_(j-i)]: a minor
-with rows[k] > cols[k] for some k is zero and is skipped, and a minor
-does not change when rows and cols shift together, so it is evaluated
-once per shift class.  Order k is built from order k - 1 by a cofactor
-expansion along the last row, which keeps rows[0] = 0, so every
+with rows[k] > cols[k] for some k is zero and is never visited, and a
+minor does not change when rows and cols shift together, so it is
+evaluated once per shift class.  Order k is built from order k - 1 by a
+cofactor expansion along the last row, which keeps rows[0] = 0, so every
 cofactor is one of the previous order's stored nonzero classes and each
-new last row costs one k-term dot product.  The report keeps only the
-sorted negative classes; within an order they share one Fraction per
-distinct value and one rows tuple per row set, so the report costs
-memory in proportion to its classes and values, not its violations.  It
-lists their shifts on demand (``MinorReport.violations``), in the same
-order as a sweep over all pairs would, and its JSON writer streams them
-in bounded batches, formatting each distinct determinant once.  A single
-minor (``toeplitz_minor``) is computed by Bareiss elimination, an
-independent referee for the sweep and for ``sprout.schur_coeff``.
+new last row costs one k-term dot product.  The top order evaluates one
+class of each pair that a 180-degree rotation swaps.  The report keeps
+only the sorted negative classes; within an order they share one
+Fraction per distinct value and one tuple per row set and per column
+set, so the report costs memory in proportion to its classes and values,
+not its violations.  It lists their shifts on demand
+(``MinorReport.violations``), in the same order as a sweep over all
+pairs would, and its JSON writer streams them in bounded batches,
+formatting each distinct determinant once.  A single minor
+(``toeplitz_minor``) is computed by Bareiss elimination, an independent
+referee for the sweep and for ``sprout.schur_coeff``.
 """
 
 import io
@@ -45,14 +47,15 @@ JSON_BATCH = 1024  # violations per write in MinorReport.write_json
 def _shifts(classes, size):
     """(t, the classes of one order that still fit shifted by t), in report order.
 
-    A class fits while cols[-1] + t < size; fewer fit as t grows.
+    A class fits while cols[-1] + t < size; fewer fit as t grows.  All of
+    them fit at t = 0, so that shift lists the order's classes uncopied.
     """
     for fitting in classes:
-        for t in range(size):
-            fitting = [c for c in fitting if c[1][-1] + t < size]
-            if not fitting:
-                break
+        t = 0
+        while fitting:
             yield t, fitting
+            t += 1
+            fitting = [c for c in fitting if c[1][-1] + t < size]
 
 
 class _ShiftedText(dict):
@@ -71,7 +74,8 @@ class MinorReport(NamedTuple):
 
     ``classes[k - 1]`` holds the negative classes of order k, sorted, each
     as its representative (rows, cols, value) with rows[0] = 0.  Within an
-    order, equal values are one Fraction object and equal rows one tuple.
+    order, equal values are one Fraction object and equal rows or cols one
+    tuple.
     The minor at (rows + t, cols + t) has the same value for every shift
     t with cols[-1] + t <= max_degree.  ``violations`` lists all of them
     in (order, rows, cols) order; ``write_json`` streams them to a text
@@ -190,26 +194,50 @@ def minor_count(max_order: int, max_degree: int) -> int:
     )
 
 
+def _at_least(bound, stop):
+    """The increasing tuples p with p[i] >= bound[i] and p[-1] < stop, sorted."""
+    found = [()]
+    for i, low in enumerate(bound):
+        end = stop - len(bound) + i + 1
+        found = [
+            p + (v,) for p in found for v in range(max(low, p[-1] + 1) if p else low, end)
+        ]
+    return found
+
+
 def toeplitz_minors(seed: Seed, max_order: int, max_degree: int) -> MinorReport:
     """Evaluate every minor with indices <= max_degree and order <= max_order.
 
-    The matrix [a_(j-i)] is upper triangular, so a minor with
-    rows[k] > cols[k] for some k is zero; and it depends only on j - i,
-    so shifting rows and cols together leaves a minor unchanged.  Each
-    shift class is evaluated once, at its representative with
-    rows[0] = 0, by expanding along the last row r:
+    The matrix [a_(j-i)] is upper triangular, so a minor is zero unless
+    cols[i] >= rows[i] for every i; and it depends only on j - i, so
+    shifting rows and cols together leaves a minor unchanged.  Each shift
+    class is evaluated once, at its representative with rows[0] = 0, by
+    expanding along the last row r:
 
         det = sum_j (-1)^(j+k-1) a_(cols[j]-r) M(rows[:-1], cols minus cols[j])
 
     where a term with cols[j] < r is zero.  Deleting the last row keeps
     rows[0] = 0, so every cofactor M is a class of order k - 1 as the
-    previous order stored it (a missing key is a structural zero).  The
-    cofactors depend only on (rows[:-1], cols), so every last row r costs
-    one k-term dot product.  The report keeps the sorted negative classes;
-    each order shares one Fraction per distinct determinant and one rows
-    tuple per (rows[:-1], r) across all column sets, so equal values and
-    rows are the same objects.  Its ``violations`` lists them shift by
-    shift in (order, rows, cols) lexicographic order.
+    previous order stored it (a missing key is zero).  For each head
+    rows[:-1] only the structural column sets are visited, those with
+    cols[i] >= head[i] and cols[-1] > head[-1]; their cofactors depend
+    only on (head, cols), so every last row r costs one k-term dot product.
+
+    A minor equals the minor of its 180-degree rotation,
+    (c - reversed(cols), c - reversed(rows)) with c = cols[-1], which is a
+    representative too.  The top order stores no cofactors, so from order
+    3 on it evaluates one class of each mirror pair, chosen before any
+    arithmetic: the class whose rows[1] is below its mirror's rows[1]
+    (cols[-1] - cols[-2]) is evaluated and emits its mirror as well, the
+    one above is skipped, and a tie is evaluated and emits only itself.
+
+    The report keeps the negative classes, sorted, with no sort of a whole
+    order: the heads are walked in order, each head's classes are bucketed
+    by r, and only the mirrors are sorted into their rows.  Each order
+    shares one Fraction per distinct determinant, one rows tuple per row
+    set and one cols tuple per column set, so equal values, rows and cols
+    are the same objects.  Its ``violations`` lists them shift by shift
+    in (order, rows, cols) lexicographic order.
     The ``"minors"`` budget (``minor_count``) is checked before any work;
     it counts minors, not memory.
     Exact arithmetic throughout.
@@ -225,49 +253,91 @@ def toeplitz_minors(seed: Seed, max_order: int, max_degree: int) -> MinorReport:
     check_budget("minors", minor_count(max_order, max_degree))
     size = max_degree + 1
     scale = lcm(*(seed.a_coeff(k).denominator for k in range(size)), 1)
-    entries = [int(seed.a_coeff(k) * scale) for k in range(size)]
+    # padded with zeros, so entries[c - r] reads a_(c-r), and 0 when c < r
+    entries = [int(seed.a_coeff(k) * scale) for k in range(size)] + [0] * size
     top = min(max_order, size)
     classes = []
-    previous = {(): {(): 1}}  # previous order's nonzero classes: rows -> {cols: det}
+    # the previous order's nonzero classes, rows -> {position of cols: det},
+    # and the position of each of its column sets in lexicographic order
+    previous, positions = {(): {0: 1}}, {(): 0}
     for order in range(1, top + 1):
         back = scale**order
         signs = [(-1) ** (j + order - 1) for j in range(order)]
-        drops = [
-            (cols, [cols[:j] + cols[j + 1:] for j in range(order)])
-            for cols in combinations(range(size), order)
-        ]
+        # the top order stores no cofactors, so it evaluates one class of
+        # each mirror pair; rows[1] exists from order 3 on
+        mirroring = order == top >= 3
+        shared_rows = {}  # one tuple per row set
+        col_sets = list(combinations(range(size), order))
+        # cols[:-1] -> [(position, cols, cofactor keys, mirror's rows)] by
+        # cols[-1], where key j is the position of cols minus cols[j]
+        tails = {}
+        for at, cols in enumerate(col_sets):
+            keys = [positions[cols[:j] + cols[j + 1:]] for j in range(order)]
+            mirror_rows = None
+            if mirroring:
+                mirror_rows = tuple(cols[-1] - c for c in reversed(cols))
+                mirror_rows = shared_rows.setdefault(mirror_rows, mirror_rows)
+            tails.setdefault(cols[:-1], []).append((at, cols, keys, mirror_rows))
+        positions = {cols: at for at, cols in enumerate(col_sets)}
         current = {}
         negative = []
+        mirrored = {}  # rows -> its mirror classes, not yet placed
         values = {}  # det -> Fraction(det, back), one object per distinct value
-        for head, minors in previous.items():
-            # the new last row r, shared by every column set; at order 1 it
-            # is the representative's row 0
-            last_rows = range(head[-1] + 1, size) if head else (0,)
-            grown = [(r, head + (r,)) for r in last_rows]
-            for cols, keys in drops:
-                terms = [
-                    (sign * sub, c)
-                    for key, sign, c in zip(keys, signs, cols)
-                    if (sub := minors.get(key))
-                ]
-                if not terms:
-                    continue
-                for r, rows in grown:
-                    if r > cols[-1]:
-                        break
-                    det = 0
-                    for cofactor, c in terms:
-                        if c >= r:
+        for head in sorted(previous):
+            # popped, so the previous order's table shrinks as this one grows
+            minors = previous.pop(head)
+            # the new last rows r, shared by every column set, each with its
+            # negative classes and its mirrors' cols by cols[-1]; at order 1
+            # the last row is the representative's row 0
+            grown = []
+            for r in range(head[-1] + 1, size) if head else (0,):
+                rows = head + (r,)
+                grown.append((r, shared_rows.setdefault(rows, rows), [], {}))
+            # tails[p][i] has cols[-1] - cols[-2] = i + 1, its mirror's rows[1];
+            # the classes whose mirror has the smaller rows[1] are skipped, and
+            # offset 0 (a tie) is emitted alone
+            skip = head[1] - 1 if mirroring else 0
+            # the structural column sets: cols[:-1] = p >= head, and then
+            # cols[-1] > p[-1] >= head[-1]
+            for p in _at_least(head, size - 1):
+                for offset, (at, cols, keys, mirror_rows) in enumerate(tails[p][skip:]):
+                    terms = [
+                        (sign * sub, c)
+                        for key, sign, c in zip(keys, signs, cols)
+                        if (sub := minors.get(key))
+                    ]
+                    if not terms:
+                        continue
+                    last = cols[-1]
+                    for r, rows, found, twins in grown:
+                        if r > last:
+                            break
+                        det = 0
+                        for cofactor, c in terms:
                             det += cofactor * entries[c - r]
-                    if det:
-                        if order < top:
-                            current.setdefault(rows, {})[cols] = det
-                        if det < 0:
-                            if (value := values.get(det)) is None:
-                                value = values[det] = Fraction(det, back)
-                            negative.append((rows, cols, value))
+                        if det:
+                            if order < top:
+                                current.setdefault(rows, {})[at] = det
+                            if det < 0:
+                                if (value := values.get(det)) is None:
+                                    value = values[det] = Fraction(det, back)
+                                found.append((rows, cols, value))
+                                if mirroring and offset:
+                                    if (twin := twins.get(last)) is None:
+                                        twin = tuple(last - i for i in reversed(rows))
+                                        twin = twins[last] = col_sets[positions[twin]]
+                                    mirrored.setdefault(mirror_rows, []).append(
+                                        (mirror_rows, twin, value)
+                                    )
+            # each r's classes come sorted by cols; a mirror's rows[1] is
+            # larger than its class's, so its head comes later, and every
+            # mirror is placed by the time its rows are reached
+            for _, rows, found, _ in grown:
+                if placed := mirrored.pop(rows, None):
+                    found += placed
+                    found.sort()
+                negative += found
         previous = current
-        negative.sort()
         classes.append(tuple(negative))
     return MinorReport(
         max_order=max_order, max_degree=max_degree, classes=tuple(classes)

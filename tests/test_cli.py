@@ -122,6 +122,12 @@ class TestSeedsListing:
                      "l_genus", "ahat", "file"):
             assert name in out
 
+    def test_unknown_action_is_a_usage_error(self, capsys):
+        # argparse's choices refuse it before cmd_seeds runs
+        code, out, err = invoke(capsys, "seeds", "show")
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -773,6 +779,12 @@ class TestInputContract:
         assert err == "error: determinant cells 26 exceeds the budget of 24\n"
 
 
+def _cli_env():
+    src = str(Path(sproutsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     probe = (
         "import sys\n"
@@ -780,11 +792,9 @@ def test_cli_import_skips_dataclasses_and_inspect():
         "import sproutsym.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    src = str(Path(sproutsym.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_cli_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -797,6 +807,22 @@ def test_cli_import_skips_dataclasses_and_inspect():
 class TestProcessExit:
     """main freezes the import-time objects of its one-command process; run,
     which tests and in-process callers use, leaves the collector alone."""
+
+    def test_closed_stdout_exits_141_without_a_message(self):
+        # 2 MB of JSON against a 64 KB pipe: the writer is still writing
+        # when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sproutsym.cli", "positivity", "--seed", "l_genus",
+             "--minor-order", "4", "--degree", "10"],
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert head == b'{"max_orde'
+        assert err == b""
 
     def test_run_leaves_the_freeze_count(self, capsys):
         before = gc.get_freeze_count()

@@ -98,12 +98,14 @@ class TestMinorSweep:
     def test_equal_values_and_rows_are_shared_within_an_order(self):
         report = toeplitz_minors(seed_by_name("l_genus", 8), 4, 8)
         for negative in report.classes:
-            values, rows_seen = {}, {}
-            for rows, _, value in negative:
+            values, rows_seen, cols_seen = {}, {}, {}
+            for rows, cols, value in negative:
                 assert values.setdefault(value, value) is value
                 assert rows_seen.setdefault(rows, rows) is rows
-        # the last order repeats both, so the checks above bite
+                assert cols_seen.setdefault(cols, cols) is cols
+        # the last order repeats all three, so the checks above bite
         assert len(values) < len(negative) and len(rows_seen) < len(negative)
+        assert len(cols_seen) < len(negative)
 
     def test_budget_guard(self, monkeypatch):
         seed = seed_by_name("geom", 12)
@@ -154,7 +156,7 @@ class TestSweepMatchesBruteForce:
         seeds = [witness_seed(7)] + [seed_by_name(name, 7) for name in self.SEEDS]
         total = 0
         for seed in seeds:
-            for order, degree in ((1, 7), (2, 7), (3, 6), (3, 7)):
+            for order, degree in ((1, 7), (2, 7), (3, 6), (3, 7), (4, 7)):
                 report = toeplitz_minors(seed, order, degree)
                 assert list(report.violations) == brute_violations(seed, order, degree)
                 assert report.passed == (not report.violations)
@@ -243,6 +245,23 @@ class TestProperties:
         degree = len(coeffs)
         report = toeplitz_minors(seed, order, degree)
         assert list(report.violations) == brute_violations(seed, order, degree)
+
+    @settings(deadline=None, max_examples=60)
+    @given(coeffs=st.lists(COEFF, max_size=8), order=st.integers(1, 6))
+    def test_classes_are_closed_under_rotation(self, coeffs, order):
+        # a minor equals the minor of its 180-degree rotation, and the top
+        # order emits the rotation of each class it evaluates in its place
+        report = toeplitz_minors(Seed(Series([1, *coeffs])), order, len(coeffs))
+        for negative in report.classes:
+            value_of = {(rows, cols): value for rows, cols, value in negative}
+            assert len(value_of) == len(negative)
+            for rows, cols, value in negative:
+                last = cols[-1]
+                rotated = (
+                    tuple(last - j for j in reversed(cols)),
+                    tuple(last - i for i in reversed(rows)),
+                )
+                assert value_of[rotated] is value
 
     @settings(deadline=None, max_examples=40)
     @given(coeffs=st.lists(COEFF, max_size=12), order=st.integers(1, 4))
